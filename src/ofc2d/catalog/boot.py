@@ -16,7 +16,7 @@ import random
 from ..cutting import cutting_build
 from ..errors import InvalidRounds
 from .mid_tree import MidTreeDS
-from .model import CatalogTree, CatalogVertex, PathQuery, QueryAnswer
+from .model import CatalogTree, CatalogVertex, PathQuery, QueryAnswer, regime_heights
 
 
 def _iterated(fn, x):
@@ -43,6 +43,12 @@ def f_chain(n, rounds):
     return out
 
 
+def layer_hi(n, f):
+    """Longest path a layer cut with parameter ``f`` answers: the window
+    floor((log n / log f)² / 2), which grows as f shrinks with depth."""
+    return math.floor(0.5 * (math.log2(n) / max(1.0, math.log2(f))) ** 2)
+
+
 class _Layer:
     __slots__ = ("f", "cuttings", "mid", "cell_tree", "hi", "cell_count")
 
@@ -65,11 +71,11 @@ class BootstrappedDS:
         if rng is None:
             rng = random.Random(0)
         n = max(2, tree.n)
-        logn = math.log2(n)
+        d1, d2 = regime_heights(n)
         self.tree = tree
         self.rounds = rounds
-        self.h1 = h1 if h1 is not None else max(1, math.ceil(logn / 2))
-        self.h2 = h2 if h2 is not None else max(self.h1 + 1, math.ceil(logn * logn / 2))
+        self.h1 = h1 if h1 is not None else d1
+        self.h2 = h2 if h2 is not None else d2
         self.base = MidTreeDS(tree, self.h1, self.h2, rng)
         self.stored_entries = self.base.stored_entries
         self.layers = []
@@ -89,9 +95,8 @@ class BootstrappedDS:
             cell_tree = CatalogTree(vertices, tree.root)
             mid = MidTreeDS(cell_tree, self.h1, self.h2, rng)
             self.stored_entries += mid.stored_entries
-            delta = math.log2(f)
-            hi = math.floor(0.5 * (logn / max(1.0, delta)) ** 2)
-            self.layers.append(_Layer(f, cuttings, mid, cell_tree, hi, cell_count))
+            self.layers.append(_Layer(f, cuttings, mid, cell_tree, layer_hi(n, f),
+                                      cell_count))
             prev = cell_tree
 
     def layer_cell_counts(self):
@@ -104,11 +109,11 @@ class BootstrappedDS:
                 return k
         return -1
 
-    def query(self, q: PathQuery, counters=None, enforce_regime=True) -> QueryAnswer:
+    def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         k = self.route(len(q.path))
         if k < 0:
-            return self.base.query(q, counters, enforce_regime)
-        ans = self.layers[k].mid.query(q, counters, enforce_regime)
+            return self.base.query(q, counters)
+        ans = self.layers[k].mid.query(q, counters)
         out = {}
         for vid, cell_id in ans.by_vertex.items():
             for j in range(k, -1, -1):
@@ -116,12 +121,3 @@ class BootstrappedDS:
                 cell_id = cut.conflict_index(cell_id).locate(q.q, counters)
             out[vid] = cell_id
         return QueryAnswer(out)
-
-
-def build_bootstrapped(tree: CatalogTree, rounds: int, rng=None,
-                       h1=None, h2=None) -> BootstrappedDS:
-    return BootstrappedDS(tree, rounds, rng, h1, h2)
-
-
-def query_bootstrapped(ds: BootstrappedDS, q: PathQuery, counters=None) -> QueryAnswer:
-    return ds.query(q, counters)

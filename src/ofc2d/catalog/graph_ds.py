@@ -14,17 +14,17 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import DisconnectedSubgraph, VertexNotOnPath
+from ..errors import DisconnectedSubgraph
 from ..gen import random_tiling
-from ..geometry import Rect
-from ..stabbing import Stab2D
 from .model import (
     CatalogGraph,
     CatalogVertex,
     PathQuery,
     QueryAnswer,
     SubgraphQuery,
+    check_path,
 )
+from .short_tree import ChunkedStabDS
 
 
 def graph_to_path_catalog(g: CatalogGraph):
@@ -88,85 +88,37 @@ def subgraph_to_walk(g: CatalogGraph, query: SubgraphQuery, copy_map) -> PathQue
     return PathQuery(query.q, tuple(path))
 
 
-class GraphDS:
-    __slots__ = ("g", "r", "L", "cuttings", "cell_rects", "cell_owner",
-                 "_stabs", "expanded", "copy_map", "designated",
-                 "stored_entries")
+class GraphDS(ChunkedStabDS):
+    __slots__ = ("g", "expanded", "copy_map")
 
     def __init__(self, g: CatalogGraph, rng: random.Random | None = None):
         if rng is None:
             rng = random.Random(0)
-        n = max(2, g.n)
-        logn = math.log2(n)
         d = max(2, g.degree)
         self.g = g
         self.expanded, self.copy_map = graph_to_path_catalog(g)
-        self.designated = {copies[0]: v for v, copies in self.copy_map.items()}
-        self.r = 2 ** math.ceil(math.sqrt(logn))
-        self.L = max(1, math.ceil(math.log2(self.r)))
+        designated = {copies[0]: v for v, copies in self.copy_map.items()}
+        self._init_engine(g.n)
         # Cutting conflict budget r^(2 log d) per the generalized scheme; at
         # desk scale this usually degrades to one cell per vertex.
         strength = self.r ** (2 * math.log2(d))
-        self.cuttings = {}
-        self.cell_rects = {}
-        self.cell_owner = {}
-        self.stored_entries = 0
-        gid = 0
         for cid, v in self.expanded.vertices.items():
             ni = len(v.tiling)
             rho = max(1, min(ni, math.ceil(ni / strength)))
-            cut = cutting_build(v.tiling, rho, rng)
-            self.cuttings[cid] = cut
-            rects = []
-            for i, cell in enumerate(cut.cells.rects):
-                rects.append(Rect(gid, cell.xlo, cell.xhi, cell.ylo, cell.yhi))
-                self.cell_owner[gid] = (cid, i)
-                gid += 1
-            self.cell_rects[cid] = rects
-            self.stored_entries += sum(len(c) for c in cut.conflicts)
-        self._stabs = {}
-
-    def _stab_for(self, key) -> Stab2D:
-        s = self._stabs.get(key)
-        if s is None:
-            s = Stab2D([r for v in key for r in self.cell_rects[v]])
-            self._stabs[key] = s
-            self.stored_entries += s.stored_entries
-        return s
-
-    def _query_expanded(self, q, path, counters):
-        for a, b in zip(path, path[1:]):
-            if b not in self.expanded.vertices[a].adjacency:
-                raise VertexNotOnPath(f"{a} and {b} not adjacent")
-        out = {}
-        for i in range(0, len(path), self.L):
-            chunk = tuple(path[i:i + self.L])
-            key = chunk if chunk <= chunk[::-1] else chunk[::-1]
-            hits = self._stab_for(key).query(q, counters)
-            if counters is not None:
-                counters.structures_queried += 1
-            for gid in hits:
-                cid, ci = self.cell_owner[gid]
-                rid = self.cuttings[cid].conflict_index(ci).locate(q, counters)
-                if counters is not None:
-                    counters.cells_located += 1
-                if cid in self.designated:
-                    out[self.designated[cid]] = rid
-        return out
+            # Copies without the real tiling answer under None; query drops it.
+            self._add_cutting(cid, cutting_build(v.tiling, rho, rng),
+                              designated.get(cid))
 
     def query(self, q, counters=None) -> QueryAnswer:
+        """Answer a SubgraphQuery through its walk over distinct copies, or a
+        PathQuery over the graph through the designated copies."""
         if isinstance(q, SubgraphQuery):
-            pq = subgraph_to_walk(self.g, q, self.copy_map)
-            return QueryAnswer(self._query_expanded(pq.q, pq.path, counters))
-        for v in q.path:
-            self.g.check_vertex(v)
-        path = tuple(self.copy_map[v][0] for v in q.path)
-        return QueryAnswer(self._query_expanded(q.q, path, counters))
-
-
-def build_graph(g: CatalogGraph, rng=None) -> GraphDS:
-    return GraphDS(g, rng)
-
-
-def query_graph(ds: GraphDS, q, counters=None) -> QueryAnswer:
-    return ds.query(q, counters)
+            path = subgraph_to_walk(self.g, q, self.copy_map).path
+        else:
+            for v in q.path:
+                self.g.check_vertex(v)
+            path = tuple(self.copy_map[v][0] for v in q.path)
+        check_path(self.expanded, path)
+        found = self._locate_chunks(q.q, path, counters)
+        found.pop(None, None)
+        return QueryAnswer(found)

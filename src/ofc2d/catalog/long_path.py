@@ -10,19 +10,22 @@ from __future__ import annotations
 
 import math
 
-from ..errors import PathTooShort, VertexNotOnPath
-from .model import CatalogTree, PathQuery, QueryAnswer, heavy_path_decompose
+from ..errors import PathTooShort
+from .model import CatalogTree, PathQuery, QueryAnswer, check_path, heavy_path_decompose
 from .path_ds import PathDS
 
 
 class LongPathDS:
-    __slots__ = ("tree", "paths", "path_of", "structures", "min_len",
+    __slots__ = ("tree", "strict", "paths", "path_of", "structures", "min_len",
                  "stored_entries")
 
-    def __init__(self, tree: CatalogTree):
+    def __init__(self, tree: CatalogTree, strict: bool = False):
+        """``strict``: queries of at most ``min_len`` vertices raise
+        PathTooShort instead of being answered."""
         n = max(2, tree.n)
         logn = math.log2(n)
         self.tree = tree
+        self.strict = strict
         self.min_len = math.floor(logn * logn / 2)
         self.paths = heavy_path_decompose(tree)
         self.path_of = {}
@@ -33,14 +36,10 @@ class LongPathDS:
         self.structures = [PathDS(p, tree.vertices, block) for p in self.paths]
         self.stored_entries = sum(s.stored_entries for s in self.structures)
 
-    def query(self, q: PathQuery, counters=None, strict=True) -> QueryAnswer:
+    def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         path = q.path
-        for v in path:
-            self.tree.check_vertex(v)
-        for a, b in zip(path, path[1:]):
-            if b not in self.tree.vertices[a].adjacency:
-                raise VertexNotOnPath(f"{a} and {b} not adjacent")
-        if strict and len(path) <= self.min_len:
+        check_path(self.tree, path)
+        if self.strict and len(path) <= self.min_len:
             raise PathTooShort(
                 f"|path|={len(path)} <= {self.min_len}; use the dispatcher"
             )
@@ -61,11 +60,3 @@ class LongPathDS:
                 counters.structures_queried = before + 1
             out.update(ans.by_vertex)
         return QueryAnswer(out)
-
-
-def build_long_path(tree: CatalogTree) -> LongPathDS:
-    return LongPathDS(tree)
-
-
-def query_long_path(ds: LongPathDS, q: PathQuery, counters=None) -> QueryAnswer:
-    return ds.query(q, counters)

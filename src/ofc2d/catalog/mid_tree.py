@@ -18,23 +18,16 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import (
-    HeightOutOfRegime,
-    InvalidHeights,
-    NotRootToLeaf,
-    PathOutOfRegime,
-    VertexNotOnPath,
-)
+from ..errors import InvalidHeights, NotRootToLeaf, PathOutOfRegime
 from ..stabbing import Point3, Rect3, Stab3D
-from .model import CatalogTree, PathQuery, QueryAnswer, assign_z_ranges
+from .model import CatalogTree, PathQuery, QueryAnswer, assign_z_ranges, check_path
 
 
-class SubTree:
-    """A connected slice of a catalog tree, exposing the same tree surface
-    (vertices/root/children/depth/leaves/n) the structures consume."""
+class SubTree(CatalogTree):
+    """A connected slice of a catalog tree: the subtree under ``root``, cut
+    below relative depth ``max_rel_depth`` when one is given."""
 
-    __slots__ = ("root", "vertices", "children", "parent", "depth", "height",
-                 "leaves", "n", "bbox")
+    __slots__ = ()
 
     def __init__(self, tree, root, max_rel_depth=None):
         self.root = root
@@ -56,30 +49,17 @@ class SubTree:
                 self.parent[c] = u
                 self.depth[c] = d + 1
                 stack.append(c)
-        self.height = max(self.depth.values())
-        out = []
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            if not self.children[u]:
-                out.append(u)
-            else:
-                stack.extend(reversed(self.children[u]))
-        self.leaves = out
-        self.n = sum(len(v.tiling) for v in self.vertices.values())
-        self.bbox = tree.vertices[root].tiling.bbox
+        self._finish()
 
 
 class RootLeafDS:
     __slots__ = ("tree", "r", "H", "cuttings", "cell_owner", "z", "stab",
                  "stored_entries")
 
-    def __init__(self, tree, rng: random.Random | None = None, strict: bool = False):
+    def __init__(self, tree, rng: random.Random | None = None):
         n = max(2, tree.n)
         h = max(1, tree.height)
         logn = math.log2(n)
-        if strict and tree.height > logn * logn / 2:
-            raise HeightOutOfRegime(f"height {tree.height} > {logn * logn / 2:.1f}")
         if rng is None:
             rng = random.Random(0)
         self.tree = tree
@@ -106,6 +86,11 @@ class RootLeafDS:
         self.stab = Stab3D(boxes, self.H)
         self.stored_entries += self.stab.stored_entries
 
+    def query(self, q: PathQuery, counters=None) -> QueryAnswer:
+        if not self.tree.is_root_to_leaf(q.path):
+            raise NotRootToLeaf(f"{q.path} is not a root-to-leaf path")
+        return QueryAnswer(self.locate_along(q.q, q.path[-1], set(q.path), counters))
+
     def locate_along(self, q, end_vid, wanted, counters=None) -> dict:
         """Locate q at every ancestor of a leaf under ``end_vid``; keep the
         vertices in ``wanted``, discard (but still pay for) the rest."""
@@ -122,25 +107,6 @@ class RootLeafDS:
             if vid in wanted:
                 out[vid] = rid
         return out
-
-
-def build_midtree_rootleaf(tree: CatalogTree, rng=None, strict=True) -> RootLeafDS:
-    return RootLeafDS(tree, rng, strict)
-
-
-def query_midtree_rootleaf(ds: RootLeafDS, q: PathQuery, counters=None) -> QueryAnswer:
-    t = ds.tree
-    path = q.path
-    ok = (
-        len(path) >= 1
-        and path[0] == t.root
-        and all(t.parent.get(b) == a for a, b in zip(path, path[1:]))
-        and not t.children[path[-1]]
-    )
-    if not ok:
-        raise NotRootToLeaf(f"{path} is not a root-to-leaf path")
-    out = ds.locate_along(q.q, path[-1], set(path), counters)
-    return QueryAnswer(out)
 
 
 class _RecNode:
@@ -211,11 +177,13 @@ class _RecNode:
 
 
 class MidTreeDS:
-    __slots__ = ("tree", "h1", "h2", "forest", "forest_of", "levels",
+    __slots__ = ("tree", "h1", "h2", "strict", "forest", "forest_of", "levels",
                  "stored_entries")
 
     def __init__(self, tree: CatalogTree, h1: int, h2: int,
-                 rng: random.Random | None = None):
+                 rng: random.Random | None = None, strict: bool = False):
+        """``strict``: queries whose length is outside [h1, h2] raise
+        PathOutOfRegime instead of being answered."""
         if not 1 <= h1 < h2:
             raise InvalidHeights(f"need 1 <= h1 < h2, got {h1}, {h2}")
         if rng is None:
@@ -223,6 +191,7 @@ class MidTreeDS:
         self.tree = tree
         self.h1 = h1
         self.h2 = h2
+        self.strict = strict
         roots = sorted(v for v, d in tree.depth.items() if d % h2 == 0)
         self.forest = {}
         for v in roots:
@@ -235,15 +204,11 @@ class MidTreeDS:
         self.levels = max(n.levels for n in self.forest.values())
         self.stored_entries = sum(n.stored_entries() for n in self.forest.values())
 
-    def query(self, q: PathQuery, counters=None, enforce_regime=True) -> QueryAnswer:
+    def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         t = self.tree
         path = q.path
-        for v in path:
-            t.check_vertex(v)
-        for a, b in zip(path, path[1:]):
-            if b not in t.vertices[a].adjacency:
-                raise VertexNotOnPath(f"{a} and {b} not adjacent")
-        if enforce_regime and not (self.h1 <= len(path) <= self.h2):
+        check_path(t, path)
+        if self.strict and not (self.h1 <= len(path) <= self.h2):
             raise PathOutOfRegime(f"|path|={len(path)} outside [{self.h1}, {self.h2}]")
         k = min(range(len(path)), key=lambda i: t.depth[path[i]])
         halves = [list(reversed(path[: k + 1])), list(path[k + 1:])]
@@ -261,11 +226,3 @@ class MidTreeDS:
             for seg in segs:
                 self.forest[self.forest_of[seg[0]]].answer_seg(q.q, seg, out, counters)
         return QueryAnswer(out)
-
-
-def build_midtree_general(tree: CatalogTree, h1: int, h2: int, rng=None) -> MidTreeDS:
-    return MidTreeDS(tree, h1, h2, rng)
-
-
-def query_midtree_general(ds: MidTreeDS, q: PathQuery, counters=None) -> QueryAnswer:
-    return ds.query(q, counters)

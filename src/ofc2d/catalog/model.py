@@ -7,10 +7,20 @@ which everything downstream relies on for reproducibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..errors import UnknownVertex
+from ..errors import UnknownVertex, VertexNotOnPath
 from ..geometry import Point, Tiling
+
+
+def regime_heights(n: int):
+    """Path-length thresholds (h1, h2) between the short, mid and long
+    regimes of a catalog with n rects: h1 = ceil(log n / 2) and
+    h2 = ceil(log² n / 2), clamped so that 1 <= h1 < h2."""
+    logn = math.log2(max(2, n))
+    h1 = max(1, math.ceil(logn / 2))
+    return h1, max(h1 + 1, math.ceil(logn * logn / 2))
 
 
 @dataclass(frozen=True)
@@ -45,9 +55,14 @@ class CatalogTree:
                 stack.append(v)
         if len(order) != len(vertices):
             raise ValueError("catalog tree is not connected")
+        self._finish()
+
+    def _finish(self):
+        """Height, left-to-right leaves and rect count, once the walk has
+        filled vertices, children and depth."""
         self.height = max(self.depth.values())
         self.leaves = self._ordered_leaves()
-        self.n = sum(len(v.tiling) for v in vertices.values())
+        self.n = sum(len(v.tiling) for v in self.vertices.values())
 
     def _ordered_leaves(self):
         out = []
@@ -129,6 +144,18 @@ class CatalogGraph:
     def check_vertex(self, vid):
         if vid not in self.vertices:
             raise UnknownVertex(f"vertex {vid}")
+
+
+def check_path(catalog, path):
+    """Raise unless every vertex of ``path`` is in ``catalog`` and each one is
+    adjacent to the next."""
+    vertices = catalog.vertices
+    for v in path:
+        if v not in vertices:
+            raise UnknownVertex(f"vertex {v}")
+    for a, b in zip(path, path[1:]):
+        if b not in vertices[a].adjacency:
+            raise VertexNotOnPath(f"{a} and {b} not adjacent")
 
 
 @dataclass(frozen=True)

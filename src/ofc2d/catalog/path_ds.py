@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 
 from ..errors import VertexNotOnPath
+from ..geometry import Rect
 from ..stabbing import Stab2D
 from .model import CatalogTree, PathQuery, QueryAnswer
 
 
 class PathDS:
-    __slots__ = ("order", "pos", "block_size", "blocks", "rect_vertex",
+    __slots__ = ("order", "pos", "block_size", "blocks", "owners",
                  "stored_entries")
 
     def __init__(self, chain, vertices, block_size=None):
@@ -27,18 +28,20 @@ class PathDS:
         self.order = list(chain)
         self.pos = {v: i for i, v in enumerate(chain)}
         self.block_size = block_size
-        self.rect_vertex = {}
         self.blocks = []
+        # Rect ids need only be unique within one vertex's tiling, so each
+        # block renumbers its rects; owners[b][i] is (vertex, rect id).
+        self.owners = []
         self.stored_entries = 0
         for b0 in range(0, len(self.order), block_size):
-            members = self.order[b0:b0 + block_size]
-            rects = []
-            for v in members:
+            rects, owner = [], []
+            for v in self.order[b0:b0 + block_size]:
                 for r in vertices[v].tiling.rects:
-                    rects.append(r)
-                    self.rect_vertex[r.id] = v
+                    rects.append(Rect(len(owner), r.xlo, r.xhi, r.ylo, r.yhi))
+                    owner.append((v, r.id))
             s = Stab2D(rects)
             self.blocks.append(s)
+            self.owners.append(owner)
             self.stored_entries += s.stored_entries
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
@@ -55,8 +58,9 @@ class PathDS:
             hits = self.blocks[b].query(q.q, counters)
             if counters is not None:
                 counters.structures_queried += 1
-            for rid in hits:
-                v = self.rect_vertex[rid]
+            owner = self.owners[b]
+            for i in hits:
+                v, rid = owner[i]
                 if v in wanted:
                     out[v] = rid
         return QueryAnswer(out)
@@ -72,7 +76,3 @@ def build_path_structure(tree: CatalogTree) -> PathDS:
     if len(chain) != len(tree.vertices):
         raise ValueError("catalog is not a simple path")
     return PathDS(chain, tree.vertices)
-
-
-def query_path_structure(ds: PathDS, q: PathQuery, counters=None) -> QueryAnswer:
-    return ds.query(q, counters)

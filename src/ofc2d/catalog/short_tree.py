@@ -13,14 +13,15 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import HeightOutOfRegime, VertexNotOnPath
+from ..errors import HeightOutOfRegime
 from ..geometry import Rect
 from ..stabbing import Stab2D
-from .model import CatalogTree, PathQuery, QueryAnswer
+from .model import CatalogTree, PathQuery, QueryAnswer, check_path
 
 
 def enumerate_subpaths(tree: CatalogTree, max_len: int):
-    """All simple paths with 1..max_len vertices, one canonical key each.
+    """All simple paths with 1..max_len vertices, one canonical key each:
+    the chunk keys a ShortTreeDS with L = max_len can build a stab for.
 
     A path is its apex (highest vertex) plus downward arms into at most two
     distinct child subtrees.
@@ -62,77 +63,89 @@ def _canon(seq):
     return seq if seq <= rev else rev
 
 
-class ShortTreeDS:
-    __slots__ = ("tree", "r", "L", "cuttings", "cell_rects", "cell_owner",
-                 "subpaths", "_stabs", "stored_entries")
+class ChunkedStabDS:
+    """The chunked-stab engine shared by ShortTreeDS and GraphDS.
+
+    Every vertex's cutting cells get catalog-wide ids (``cell_owner`` maps
+    one to its answer key, its vertex's cutting and its local cell index),
+    and each chunk of at most L consecutive path vertices is answered by one
+    Stab2D over the chunk's cells, built on first use and cached under the
+    chunk's canonical key.  Subclasses build the cuttings and check the path.
+    """
+
+    __slots__ = ("r", "L", "cuttings", "cell_rects", "cell_owner", "_stabs",
+                 "stored_entries")
+
+    def _init_engine(self, n):
+        logn = math.log2(max(2, n))
+        self.r = 2 ** math.ceil(math.sqrt(logn))
+        self.L = max(1, math.ceil(math.log2(self.r)))
+        self.cuttings = {}
+        self.cell_rects = {}  # vertex -> cells re-idd with global cell ids
+        self.cell_owner = []  # global cell id -> (answer key, cutting, local index)
+        self._stabs = {}
+        self.stored_entries = 0
+
+    def _add_cutting(self, vid, cut, key):
+        """Add vertex ``vid``'s cutting; its answers are stored under ``key``."""
+        self.cuttings[vid] = cut
+        gid = len(self.cell_owner)
+        rects = []
+        for i, cell in enumerate(cut.cells.rects):
+            rects.append(Rect(gid + i, cell.xlo, cell.xhi, cell.ylo, cell.yhi))
+            self.cell_owner.append((key, cut, i))
+        self.cell_rects[vid] = rects
+        self.stored_entries += sum(len(c) for c in cut.conflicts)
+
+    def _stab_for(self, key) -> Stab2D:
+        s = self._stabs.get(key)
+        if s is None:
+            s = Stab2D([r for v in key for r in self.cell_rects[v]])
+            self._stabs[key] = s
+            self.stored_entries += s.stored_entries
+        return s
+
+    def _locate_chunks(self, q, path, counters) -> dict:
+        """Answer key -> id of the rect containing point ``q``, for every
+        vertex of ``path``, whose consecutive vertices the caller has checked
+        adjacent."""
+        L, owner = self.L, self.cell_owner
+        out = {}
+        for i in range(0, len(path), L):
+            chunk = tuple(path[i:i + L])
+            key = chunk if chunk <= chunk[::-1] else chunk[::-1]
+            hits = self._stab_for(key).query(q, counters)
+            if counters is not None:
+                counters.structures_queried += 1
+            for gid in hits:
+                k, cut, ci = owner[gid]
+                out[k] = cut.conflict_index(ci).locate(q, counters)
+                if counters is not None:
+                    counters.cells_located += 1
+        return out
+
+
+class ShortTreeDS(ChunkedStabDS):
+    __slots__ = ("tree",)
 
     def __init__(self, tree: CatalogTree, rng: random.Random | None = None,
                  strict: bool = False):
-        n = max(2, tree.n)
-        logn = math.log2(n)
+        """``strict``: reject a tree taller than (log n)/2 with
+        HeightOutOfRegime instead of building it."""
+        logn = math.log2(max(2, tree.n))
         if strict and tree.height > logn / 2:
             raise HeightOutOfRegime(f"height {tree.height} > {logn / 2:.1f}")
         if rng is None:
             rng = random.Random(0)
         self.tree = tree
-        self.r = 2 ** math.ceil(math.sqrt(logn))
-        self.L = max(1, math.ceil(math.log2(self.r)))
-        self.cuttings = {}
-        self.cell_rects = {}  # vertex -> cells re-idd with global cell ids
-        self.cell_owner = {}  # global cell id -> (vertex, local cell index)
-        self.stored_entries = 0
-        gid = 0
+        self._init_engine(tree.n)
         for vid, v in tree.vertices.items():
             ni = len(v.tiling)
             rho = max(1, min(ni, math.ceil(ni / self.r ** 2)))
-            cut = cutting_build(v.tiling, rho, rng)
-            self.cuttings[vid] = cut
-            rects = []
-            for i, cell in enumerate(cut.cells.rects):
-                rects.append(Rect(gid, cell.xlo, cell.xhi, cell.ylo, cell.yhi))
-                self.cell_owner[gid] = (vid, i)
-                gid += 1
-            self.cell_rects[vid] = rects
-            self.stored_entries += sum(len(c) for c in cut.conflicts)
-        self.subpaths = enumerate_subpaths(tree, self.L)
-        self._stabs = {}
-
-    def _stab_for(self, key) -> Stab2D:
-        s = self._stabs.get(key)
-        if s is None:
-            rects = [r for v in key for r in self.cell_rects[v]]
-            s = Stab2D(rects)
-            self._stabs[key] = s
-            self.stored_entries += s.stored_entries
-        return s
+            self._add_cutting(vid, cutting_build(v.tiling, rho, rng), vid)
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
-        path = q.path
-        for v in path:
-            self.tree.check_vertex(v)
-        for a, b in zip(path, path[1:]):
-            if b not in self.tree.vertices[a].adjacency:
-                raise VertexNotOnPath(f"{a} and {b} not adjacent")
-        out = {}
-        for i in range(0, len(path), self.L):
-            chunk = tuple(path[i:i + self.L])
-            key = _canon(chunk)
-            if key not in self.subpaths:
-                raise VertexNotOnPath(f"chunk {chunk} is not a tree path")
-            hits = self._stab_for(key).query(q.q, counters)
-            if counters is not None:
-                counters.structures_queried += 1
-            for gid in hits:
-                vid, ci = self.cell_owner[gid]
-                out[vid] = self.cuttings[vid].conflict_index(ci).locate(q.q, counters)
-                if counters is not None:
-                    counters.cells_located += 1
-        return QueryAnswer(out)
-
-
-def build_short_tree(tree: CatalogTree, rng=None, strict=True) -> ShortTreeDS:
-    return ShortTreeDS(tree, rng, strict)
-
-
-def query_short_tree(ds: ShortTreeDS, q: PathQuery, counters=None) -> QueryAnswer:
-    return ds.query(q, counters)
+        # In a tree every adjacent pair is a parent and a child, so each chunk
+        # of an adjacency-checked path is itself a simple tree path.
+        check_path(self.tree, q.path)
+        return QueryAnswer(self._locate_chunks(q.q, q.path, counters))

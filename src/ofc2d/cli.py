@@ -11,7 +11,8 @@ Subcommands::
 
 Counters (not wall time) are the portable cost model; bench emits one CSV
 row per query plus a summary row and exits nonzero on any oracle mismatch.
-OFC_THREADS caps the bench worker pool (default: serial).
+Every structure answers ``ds.query(q, counters)``; bench builds them
+non-strict, so any path length is answered.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fileio
 from .catalog.graph_ds import GraphDS
 from .catalog.long_path import LongPathDS
 from .catalog.mid_tree import MidTreeDS
-from .catalog.model import CatalogGraph, CatalogTree, PathQuery
+from .catalog.model import CatalogGraph, CatalogTree, PathQuery, regime_heights
 from .catalog.path_ds import build_path_structure
 from .catalog.short_tree import ShortTreeDS
 from .catalog.tree_ds import TreeDS
@@ -80,29 +79,14 @@ def _build_structure(cat, kind, rounds, rng):
     if kind == "path":
         return build_path_structure(cat)
     if kind == "short-tree":
-        return ShortTreeDS(cat, rng, strict=False)
+        return ShortTreeDS(cat, rng)
     if kind == "mid-tree":
-        n = max(2, cat.n)
-        logn = math.log2(n)
-        h1 = max(1, math.ceil(logn / 2))
-        h2 = max(h1 + 1, math.ceil(logn * logn / 2))
-        return MidTreeDS(cat, h1, h2, rng)
+        return MidTreeDS(cat, *regime_heights(cat.n), rng)
     if kind == "long-path":
         return LongPathDS(cat)
     if kind == "tree":
         return TreeDS(cat, rounds, rng)
     raise Ofc2dError(f"unknown structure kind {kind}")
-
-
-def _query_structure(ds, q, counters):
-    if isinstance(ds, (GraphDS, TreeDS)):
-        return ds.query(q, counters)
-    if isinstance(ds, MidTreeDS):
-        return ds.query(q, counters, enforce_regime=False)
-    if isinstance(ds, (ShortTreeDS, LongPathDS)):
-        return ds.query(q, counters) if isinstance(ds, ShortTreeDS) else \
-            ds.query(q, counters, strict=False)
-    return ds.query(q, counters)  # PathDS
 
 
 def cmd_build_stats(args, out=None):
@@ -121,8 +105,9 @@ def cmd_build_stats(args, out=None):
     print(f"stored_entries {entries}", file=out)
     print(f"space_exponent {exponent:.3f}", file=out)
     if isinstance(ds, TreeDS):
-        cells = ds.mid.layer_cell_counts()
-        print(f"bootstrap_layer_cells {' '.join(map(str, cells))}", file=out)
+        # TreeDS builds no layer that its routing could never reach.
+        cells = ' '.join(map(str, ds.mid.layer_cell_counts())) or "none"
+        print(f"bootstrap_layer_cells {cells}", file=out)
     return 0
 
 
@@ -160,28 +145,19 @@ def cmd_bench(args):
     else:
         workload = _random_workload(cat, args.count, args.path_len, rng)
 
-    def run(item):
-        idx, q = item
+    rows = []
+    for idx, q in enumerate(workload):
         c = WorkCounters()
         t0 = time.perf_counter_ns()
-        ans = _query_structure(ds, q, c)
+        ans = ds.query(q, c)
         wall = time.perf_counter_ns() - t0
         match = True
         if args.verify:
             vs = sorted(q.vertex_set) if hasattr(q, "vertex_set") else q.path
             match = ans == oracle_query(cat, q.q, vs)
         plen = len(q.vertex_set) if hasattr(q, "vertex_set") else len(q.path)
-        return [idx, plen, wall, c.stab_nodes_visited, c.pl_comparisons,
-                c.structures_queried, c.cells_located, c.total, match]
-
-    workers = int(os.environ.get("OFC_THREADS", "1"))
-    items = list(enumerate(workload))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, items))
-    else:
-        rows = [run(it) for it in items]
-    rows.sort(key=lambda r: r[0])
+        rows.append([idx, plen, wall, c.stab_nodes_visited, c.pl_comparisons,
+                     c.structures_queried, c.cells_located, c.total, match])
 
     mismatches = sum(1 for r in rows if not r[-1])
     with open(args.out, "w", newline="") as f:

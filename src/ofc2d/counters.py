@@ -1,9 +1,11 @@
 """Per-query work counters.
 
 Each query call owns one ``WorkCounters`` instance; structures only ever
-increment the counters handed to them, so concurrent read-only queries never
-share mutable state.  The counters are the portable cost model used by the
-benchmark harness (wall time is reported but never asserted on).
+increment the counters handed to them.  Queries are not read-only, though:
+they fill lazy caches (stabbing structures, conflict indexes) and grow
+``stored_entries``, so one structure must not be queried from several threads
+at once.  The counters are the portable cost model used by the benchmark
+harness (wall time is reported but never asserted on).
 """
 
 from dataclasses import dataclass

@@ -75,11 +75,11 @@ class Stab2D:
         self.trees = {node: IntervalTree1D(items) for node, items in buckets.items()}
         self.stored_entries = sum(t.size for t in self.trees.values())
 
-    def query(self, p: Point, counters=None) -> set:
+    def query(self, q: Point, counters=None) -> set:
         out = []
         if self.n == 0:
             return set()
-        i = bisect.bisect_right(self.xs, p.x) - 1
+        i = bisect.bisect_right(self.xs, q.x) - 1
         if i < 0 or i >= len(self.xs) - 1:
             return set()
         node, nl, nr = 1, 0, self.m
@@ -88,7 +88,7 @@ class Stab2D:
                 counters.stab_nodes_visited += 1
             t = self.trees.get(node)
             if t is not None:
-                t.stab(p.y, out, counters)
+                t.stab(q.y, out, counters)
             if nr - nl <= 1:
                 break
             mid = (nl + nr) // 2
@@ -151,14 +151,14 @@ class Stab3D:
         }
         self.stored_entries = sum(s.stored_entries for s in self.stabs.values())
 
-    def query(self, p: Point3, counters=None) -> set:
+    def query(self, q: Point3, counters=None) -> set:
         if self.n == 0:
             return set()
-        i = bisect.bisect_right(self.zs, p.z) - 1
+        i = bisect.bisect_right(self.zs, q.z) - 1
         if i < 0 or i >= len(self.zs) - 1:
             return set()
         out = set()
-        q2 = Point(p.x, p.y)
+        q2 = Point(q.x, q.y)
         node = 0
         while node is not None:
             if counters is not None:
@@ -191,19 +191,3 @@ class Stab3D:
                     break
             node = nxt
         return length
-
-
-def stab2d_build(rects) -> Stab2D:
-    return Stab2D(rects)
-
-
-def stab2d_query(s: Stab2D, p: Point, counters=None) -> set:
-    return s.query(p, counters)
-
-
-def stab3d_build(rects, H: int) -> Stab3D:
-    return Stab3D(rects, H)
-
-
-def stab3d_query(s: Stab3D, p: Point3, counters=None) -> set:
-    return s.query(p, counters)

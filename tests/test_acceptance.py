@@ -23,7 +23,7 @@ from ofc2d.catalog.model import (
 )
 from ofc2d.catalog.boot import BootstrappedDS
 from ofc2d.catalog.path_ds import build_path_structure
-from ofc2d.catalog.short_tree import ShortTreeDS, build_short_tree
+from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
 from ofc2d.cutting import cutting_build
@@ -97,22 +97,16 @@ def test_criterion_1_oracle_equivalence():
             for kind, cat in kinds.items():
                 if kind == "path":
                     ds = build_path_structure(cat)
-                    q_ = lambda d, q, c: d.query(q, c)
                 elif kind == "short-tree":
-                    ds = ShortTreeDS(cat, rng, strict=False)
-                    q_ = lambda d, q, c: d.query(q, c)
+                    ds = ShortTreeDS(cat, rng)
                 elif kind == "mid-tree":
                     ds = MidTreeDS(cat, h1, h2, rng)
-                    q_ = lambda d, q, c: d.query(q, c, enforce_regime=False)
                 elif kind == "tree":
                     ds = TreeDS(cat, 1, rng)
-                    q_ = lambda d, q, c: d.query(q, c)
                 elif kind == "long-path":
                     ds = LongPathDS(cat)
-                    q_ = lambda d, q, c: d.query(q, c, strict=False)
                 else:
                     ds = GraphDS(cat, rng)
-                    q_ = lambda d, q, c: d.query(q, c)
                 n_q = 500 if n <= 2 ** 14 else 120
                 if kind == "graph":
                     vids = list(cat.vertices)
@@ -125,14 +119,14 @@ def test_criterion_1_oracle_equivalence():
                                 break
                             walk.append(rng.choice(nxt))
                         q = PathQuery(random_point(cat.bbox, rng), tuple(walk))
-                        assert q_(ds, q, WorkCounters()) == \
+                        assert ds.query(q, WorkCounters()) == \
                             oracle_query(cat, q.q, q.path)
                         checked += 1
                 else:
                     max_len = 30 if n < 2 ** 17 else 20
                     for path in sample_paths(cat, rng, n_q, max_len):
                         q = PathQuery(random_point(cat.bbox, rng), path)
-                        assert q_(ds, q, WorkCounters()) == \
+                        assert ds.query(q, WorkCounters()) == \
                             oracle_query(cat, q.q, path)
                         checked += 1
         elapsed = time.time() - t0
@@ -179,7 +173,7 @@ def test_criterion_2_structural_invariants():
 def _short_speedup(n):
     h = int(math.log2(n)) // 2
     tree, _ = gen_short_tree_instance(n, h)
-    ds = build_short_tree(tree, rng=random.Random(1), strict=True)
+    ds = ShortTreeDS(tree, rng=random.Random(1), strict=True)
     rng = random.Random(2)
     naive = fast = 0
     for _ in range(100):
@@ -222,7 +216,7 @@ def test_criterion_4_mid_tree_query_shape():
                 continue
             q = PathQuery(random_point(cat.bbox, rng), path)
             c = WorkCounters()
-            assert ds.query(q, c, enforce_regime=False) == \
+            assert ds.query(q, c) == \
                 oracle_query(cat, q.q, path)
             # Single forest tree: each anchored half is one recursion
             # descent, at most hierarchy depth + 1 structures.
@@ -254,7 +248,7 @@ def test_criterion_5_long_path_bounds():
             path = tuple(cat.path_between(u, v))
             q = PathQuery(random_point(cat.bbox, rng), path)
             c = WorkCounters()
-            assert ds.query(q, c, strict=False) == oracle_query(cat, q.q, path)
+            assert ds.query(q, c) == oracle_query(cat, q.q, path)
             assert c.structures_queried <= 2 * (logn + 1)
             ratios.append(c.total / (math.log2(cat.n) ** 2 + len(path)))
         a = sum(ratios) / len(ratios)

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from ofc2d.catalog.boot import build_bootstrapped, f_chain, query_bootstrapped
-from ofc2d.catalog.mid_tree import build_midtree_general
+from ofc2d.catalog.boot import BootstrappedDS, f_chain
+from ofc2d.catalog.mid_tree import MidTreeDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import InvalidRounds
@@ -34,24 +34,24 @@ def test_invalid_rounds():
     rng = random.Random(1)
     cat = random_tree_catalog(20, 256, 8, rng)
     with pytest.raises(InvalidRounds):
-        build_bootstrapped(cat, -1, rng)
+        BootstrappedDS(cat, -1, rng)
 
 
 def test_rounds_zero_matches_midtree():
     rng = random.Random(2)
     cat = random_tree_catalog(80, 2048, 14, rng)
-    ds = build_bootstrapped(cat, 0, random.Random(7))
-    ref = build_midtree_general(cat, ds.h1, ds.h2, random.Random(7))
+    ds = BootstrappedDS(cat, 0, random.Random(7))
+    ref = MidTreeDS(cat, ds.h1, ds.h2, random.Random(7), strict=True)
     assert ds.layers == []
     for path in mid_paths(cat, rng, ds.h1, min(ds.h2, 15), 30):
         q = PathQuery(random_point(cat.bbox, rng), path)
-        assert query_bootstrapped(ds, q) == ref.query(q)
+        assert ds.query(q) == ref.query(q)
 
 
 def test_layer_cell_budget():
     rng = random.Random(3)
     cat = random_tree_catalog(100, 4096, 13, rng)
-    ds = build_bootstrapped(cat, 1, rng)
+    ds = BootstrappedDS(cat, 1, rng)
     f0 = math.ceil(math.log2(cat.n))
     assert len(ds.layers) == 1
     assert ds.layers[0].cell_count <= 4 * cat.n / f0
@@ -60,7 +60,7 @@ def test_layer_cell_budget():
 def test_layer_cells_strictly_shrink():
     rng = random.Random(4)
     cat = random_tree_catalog(100, 8192, 14, rng)
-    ds = build_bootstrapped(cat, 2, rng)
+    ds = BootstrappedDS(cat, 2, rng)
     counts = [cat.n] + ds.layer_cell_counts()
     assert all(b < a for a, b in zip(counts, counts[1:]))
 
@@ -70,12 +70,12 @@ def test_bootstrapped_queries_match_oracle():
     cat = random_tree_catalog(120, 4096, 20, rng)
     # Default h1 sits above the first layer's window at this size; lower it
     # so the layered fast path actually gets exercised.
-    ds = build_bootstrapped(cat, 2, rng, h1=3, h2=73)
+    ds = BootstrappedDS(cat, 2, rng, h1=3, h2=73)
     layered = 0
     for path in mid_paths(cat, rng, ds.h1, min(ds.h2, 21), 100):
         q = PathQuery(random_point(cat.bbox, rng), path)
         c = WorkCounters()
-        assert query_bootstrapped(ds, q, c) == oracle_query(cat, q.q, path)
+        assert ds.query(q, c) == oracle_query(cat, q.q, path)
         if ds.route(len(path)) >= 0:
             layered += 1
     assert layered > 0  # the layered fast path was actually exercised
@@ -85,15 +85,15 @@ def test_extra_cost_bounded():
     rng = random.Random(6)
     cat = random_tree_catalog(120, 4096, 18, rng)
     rounds = 2
-    ds = build_bootstrapped(cat, rounds, rng)
-    base = build_midtree_general(cat, ds.h1, ds.h2, random.Random(9))
+    ds = BootstrappedDS(cat, rounds, rng)
+    base = MidTreeDS(cat, ds.h1, ds.h2, random.Random(9), strict=True)
     f0 = math.ceil(math.log2(cat.n))
     for path in mid_paths(cat, rng, ds.h1, min(ds.h2, 19), 30):
         if ds.route(len(path)) < 0:
             continue
         q = PathQuery(random_point(cat.bbox, rng), path)
         cb = WorkCounters()
-        query_bootstrapped(ds, q, cb)
+        ds.query(q, cb)
         cm = WorkCounters()
         base.query(q, cm)
         slack = 4 * (rounds + 1) * len(path) * math.ceil(math.log2(f0) + 4)

@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from ofc2d.catalog.graph_ds import (
-    build_graph,
-    graph_to_path_catalog,
-    query_graph,
-    subgraph_to_walk,
-)
+from ofc2d.catalog.graph_ds import GraphDS, graph_to_path_catalog, subgraph_to_walk
 from ofc2d.catalog.model import (
     CatalogGraph,
     CatalogVertex,
@@ -79,21 +74,21 @@ def test_disconnected_subgraph_raises():
 
 def test_path_queries_on_cycle_match_oracle():
     g, rng = cycle_graph(16, 4, 4)
-    ds = build_graph(g, rng)
+    ds = GraphDS(g, rng)
     for _ in range(40):
         start = rng.randrange(16)
         length = rng.randint(1, 8)
         path = tuple((start + i) % 16 for i in range(length))
         q = PathQuery(random_point(g.bbox, rng), path)
         c = WorkCounters()
-        assert query_graph(ds, q, c) == oracle_query(g, q.q, path)
+        assert ds.query(q, c) == oracle_query(g, q.q, path)
         assert c.structures_queried >= 1
 
 
 def test_subgraph_queries_match_oracle():
     rng = random.Random(5)
     g = random_graph_catalog(24, 96, 3, rng)
-    ds = build_graph(g, rng)
+    ds = GraphDS(g, rng)
     vids = list(g.vertices)
     done = 0
     while done < 30:
@@ -105,21 +100,21 @@ def test_subgraph_queries_match_oracle():
                 break
             vs.add(rng.choice(grow))
         q = SubgraphQuery(random_point(g.bbox, rng), frozenset(vs))
-        ans = query_graph(ds, q)
+        ans = ds.query(q)
         assert ans == oracle_query(g, q.q, sorted(vs))
         done += 1
 
 
 def test_full_vertex_set_subgraph():
     g, rng = cycle_graph(6, 3, 6)
-    ds = build_graph(g, rng)
+    ds = GraphDS(g, rng)
     q = SubgraphQuery(random_point(g.bbox, rng), frozenset(range(6)))
-    assert query_graph(ds, q) == oracle_query(g, q.q, range(6))
+    assert ds.query(q) == oracle_query(g, q.q, range(6))
 
 
 def test_rejects_unknown_and_non_adjacent():
     g, rng = cycle_graph(6, 3, 7)
-    ds = build_graph(g, rng)
+    ds = GraphDS(g, rng)
     p = random_point(g.bbox, rng)
     with pytest.raises(UnknownVertex):
         ds.query(PathQuery(p, (0, 99)))

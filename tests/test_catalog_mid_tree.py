@@ -3,12 +3,7 @@ import random
 
 import pytest
 
-from ofc2d.catalog.mid_tree import (
-    build_midtree_general,
-    build_midtree_rootleaf,
-    query_midtree_general,
-    query_midtree_rootleaf,
-)
+from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import (
@@ -23,15 +18,15 @@ from ofc2d.oracle import oracle_query
 def test_rootleaf_root_only():
     rng = random.Random(1)
     cat = random_path_catalog(1, 32, rng)
-    ds = build_midtree_rootleaf(cat, rng)
+    ds = RootLeafDS(cat, rng)
     q = PathQuery(random_point(cat.bbox, rng), (0,))
-    assert query_midtree_rootleaf(ds, q) == oracle_query(cat, q.q, [0])
+    assert ds.query(q) == oracle_query(cat, q.q, [0])
 
 
 def test_rootleaf_parameter_formula():
     rng = random.Random(2)
     cat = random_tree_catalog(40, 1024, 9, rng)  # n=2^10, h=9
-    ds = build_midtree_rootleaf(cat, rng)
+    ds = RootLeafDS(cat, rng)
     assert ds.r == 2 ** math.ceil(math.log2(1024) / math.sqrt(9))
     denom = max(1.0, math.log2(max(2.0, 1024 / ds.r)))
     assert ds.H == max(2, int(ds.r / denom))
@@ -40,14 +35,14 @@ def test_rootleaf_parameter_formula():
 def test_rootleaf_random_queries_match_oracle():
     rng = random.Random(3)
     cat = random_tree_catalog(60, 4096, 12, rng)  # h = ceil(log2 n)
-    ds = build_midtree_rootleaf(cat, rng)
+    ds = RootLeafDS(cat, rng)
     leaves = cat.leaves
     for _ in range(100):
         leaf = rng.choice(leaves)
         path = tuple(cat.path_between(cat.root, leaf))
         q = PathQuery(random_point(cat.bbox, rng), path)
         c = WorkCounters()
-        assert query_midtree_rootleaf(ds, q, c) == oracle_query(cat, q.q, path)
+        assert ds.query(q, c) == oracle_query(cat, q.q, path)
         assert c.structures_queried == 1
         assert c.cells_located == len(path)
 
@@ -55,34 +50,34 @@ def test_rootleaf_random_queries_match_oracle():
 def test_rootleaf_rejects_partial_path():
     rng = random.Random(4)
     cat = random_tree_catalog(20, 256, 6, rng)
-    ds = build_midtree_rootleaf(cat, rng)
+    ds = RootLeafDS(cat, rng)
     p = random_point(cat.bbox, rng)
     leaf = cat.leaves[0]
     full = cat.path_between(cat.root, leaf)
     with pytest.raises(NotRootToLeaf):
-        query_midtree_rootleaf(ds, PathQuery(p, tuple(full[:-1])))  # stops early
+        ds.query(PathQuery(p, tuple(full[:-1])))  # stops early
     with pytest.raises(NotRootToLeaf):
-        query_midtree_rootleaf(ds, PathQuery(p, tuple(reversed(full))))
+        ds.query(PathQuery(p, tuple(reversed(full))))
 
 
 def test_midtree_invalid_heights():
     rng = random.Random(5)
     cat = random_tree_catalog(10, 64, 4, rng)
     with pytest.raises(InvalidHeights):
-        build_midtree_general(cat, 4, 4, rng)
+        MidTreeDS(cat, 4, 4, rng)
 
 
 def test_midtree_single_level_when_h1_is_half():
     rng = random.Random(6)
     cat = random_tree_catalog(40, 512, 15, rng)
-    ds = build_midtree_general(cat, 8, 16, rng)
+    ds = MidTreeDS(cat, 8, 16, rng)
     assert ds.levels == 1
 
 
 def test_midtree_hierarchy_shape():
     rng = random.Random(7)
     cat = random_tree_catalog(64, 512, 16, rng)
-    ds = build_midtree_general(cat, 4, 16, rng)
+    ds = MidTreeDS(cat, 4, 16, rng)
     assert ds.levels == 2
     cut_roots = [v for v, d in cat.depth.items() if d % 16 == 0]
     assert sorted(ds.forest) == sorted(cut_roots)
@@ -91,17 +86,17 @@ def test_midtree_hierarchy_shape():
 def test_midtree_regime_enforced():
     rng = random.Random(8)
     cat = random_tree_catalog(40, 512, 12, rng)
-    ds = build_midtree_general(cat, 3, 9, rng)
+    ds = MidTreeDS(cat, 3, 9, rng, strict=True)
     p = random_point(cat.bbox, rng)
     with pytest.raises(PathOutOfRegime):
-        query_midtree_general(ds, PathQuery(p, (cat.root,)))
+        ds.query(PathQuery(p, (cat.root,)))
 
 
 def test_midtree_random_queries_match_oracle():
     rng = random.Random(9)
     cat = random_tree_catalog(150, 4096, 24, rng)
     h1, h2 = 4, 16
-    ds = build_midtree_general(cat, h1, h2, rng)
+    ds = MidTreeDS(cat, h1, h2, rng, strict=True)
     vids = list(cat.vertices)
     done = 0
     while done < 100:
@@ -112,7 +107,7 @@ def test_midtree_random_queries_match_oracle():
         done += 1
         q = PathQuery(random_point(cat.bbox, rng), path)
         c = WorkCounters()
-        assert query_midtree_general(ds, q, c) == oracle_query(cat, q.q, path)
+        assert ds.query(q, c) == oracle_query(cat, q.q, path)
         # Two halves, each crossing at most one forest boundary, each segment
         # one structure per hierarchy level plus the truncation query.
         assert c.structures_queried <= 4 * (ds.levels + 1) + 2
@@ -121,7 +116,7 @@ def test_midtree_random_queries_match_oracle():
 def test_midtree_path_inside_one_truncation_subtree():
     rng = random.Random(10)
     cat = random_tree_catalog(80, 1024, 12, rng)
-    ds = build_midtree_general(cat, 4, 12, rng)
+    ds = MidTreeDS(cat, 4, 12, rng, strict=True)
     # A short descending path confined to one truncation subtree.
     vids = list(cat.vertices)
     for _ in range(200):
@@ -133,5 +128,5 @@ def test_midtree_path_inside_one_truncation_subtree():
             continue
         q = PathQuery(random_point(cat.bbox, rng), tuple(path))
         c = WorkCounters()
-        ans = query_midtree_general(ds, q, c)
+        ans = ds.query(q, c)
         assert ans == oracle_query(cat, q.q, path)

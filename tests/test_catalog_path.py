@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from ofc2d.catalog.model import PathQuery
-from ofc2d.catalog.path_ds import build_path_structure, query_path_structure
+from ofc2d.catalog.long_path import LongPathDS
+from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
+from ofc2d.catalog.path_ds import build_path_structure
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import VertexNotOnPath
 from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
+from ofc2d.geometry import Rect, Tiling
 from ofc2d.oracle import oracle_query
 
 
@@ -17,7 +19,7 @@ def test_single_vertex_path():
     ds = build_path_structure(cat)
     assert len(ds.blocks) == 1
     q = PathQuery(random_point(cat.bbox, rng), (0,))
-    ans = query_path_structure(ds, q)
+    ans = ds.query(q)
     assert ans == oracle_query(cat, q.q, [0])
 
 
@@ -49,7 +51,7 @@ def test_random_queries_match_oracle():
             path.reverse()
         q = PathQuery(random_point(cat.bbox, rng), tuple(path))
         c = WorkCounters()
-        ans = query_path_structure(ds, q, c)
+        ans = ds.query(q, c)
         assert ans == oracle_query(cat, q.q, path)
         assert c.structures_queried <= math.ceil(len(path) / ds.block_size) + 1
 
@@ -60,9 +62,9 @@ def test_vertex_not_on_path():
     ds = build_path_structure(cat)
     p = random_point(cat.bbox, rng)
     with pytest.raises(VertexNotOnPath):
-        query_path_structure(ds, PathQuery(p, (0, 99)))
+        ds.query(PathQuery(p, (0, 99)))
     with pytest.raises(VertexNotOnPath):
-        query_path_structure(ds, PathQuery(p, (0, 2)))  # not contiguous
+        ds.query(PathQuery(p, (0, 2)))  # not contiguous
 
 
 def test_entry_accounting():
@@ -71,3 +73,28 @@ def test_entry_accounting():
     ds = build_path_structure(cat)
     n = cat.n
     assert ds.stored_entries <= 4 * n * math.ceil(math.log2(n))
+
+
+def numbered_per_vertex(cat):
+    """The same catalog with every vertex numbering its rects from 0."""
+    vertices = {}
+    for vid, v in cat.vertices.items():
+        rects = [Rect(i, r.xlo, r.xhi, r.ylo, r.yhi) for i, r in enumerate(v.tiling.rects)]
+        vertices[vid] = CatalogVertex(vid, Tiling(v.tiling.bbox, rects), v.adjacency)
+    return CatalogTree(vertices, cat.root)
+
+
+@pytest.mark.parametrize("kind", ["path", "long-path"])
+def test_rect_ids_reused_across_vertices(kind):
+    rng = random.Random(7)
+    if kind == "path":
+        cat = numbered_per_vertex(random_path_catalog(12, 192, rng))
+        ds = build_path_structure(cat)
+    else:
+        cat = numbered_per_vertex(random_tree_catalog(40, 640, 12, rng))
+        ds = LongPathDS(cat)
+    vids = list(cat.vertices)
+    for _ in range(50):
+        path = tuple(cat.path_between(rng.choice(vids), rng.choice(vids)))
+        q = PathQuery(random_point(cat.bbox, rng), path)
+        assert ds.query(q) == oracle_query(cat, q.q, path)

@@ -4,11 +4,7 @@ import random
 import pytest
 
 from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
-from ofc2d.catalog.short_tree import (
-    build_short_tree,
-    enumerate_subpaths,
-    query_short_tree,
-)
+from ofc2d.catalog.short_tree import ShortTreeDS, enumerate_subpaths
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import HeightOutOfRegime, VertexNotOnPath
 from ofc2d.gen import default_bbox, random_point, random_tiling, random_tree_catalog
@@ -46,9 +42,9 @@ def brute_subpath_count(tree, max_len):
 
 def test_single_vertex():
     tree, rng = complete_tree(0, 16)
-    ds = build_short_tree(tree, rng)
+    ds = ShortTreeDS(tree, rng, strict=True)
     q = PathQuery(random_point(tree.bbox, rng), (0,))
-    assert query_short_tree(ds, q) == oracle_query(tree, q.q, [0])
+    assert ds.query(q) == oracle_query(tree, q.q, [0])
 
 
 def test_subpath_enumeration_matches_bruteforce():
@@ -62,20 +58,20 @@ def test_height_regime_enforced():
     # height 6 with n = 64 rects: 6 > log2(64)/2 = 3.
     cat = random_tree_catalog(10, 64, 6, rng)
     with pytest.raises(HeightOutOfRegime):
-        build_short_tree(cat, rng, strict=True)
-    build_short_tree(cat, rng, strict=False)  # non-strict accepts any height
+        ShortTreeDS(cat, rng, strict=True)
+    ShortTreeDS(cat, rng, strict=False)  # non-strict accepts any height
 
 
 def test_random_queries_match_oracle():
     tree, rng = complete_tree(5, 64, seed=8)  # n = 63*64 ≈ 2^12, height 5 <= 6
-    ds = build_short_tree(tree, rng)
+    ds = ShortTreeDS(tree, rng, strict=True)
     vids = list(tree.vertices)
     for _ in range(100):
         u, v = rng.choice(vids), rng.choice(vids)
         path = tuple(tree.path_between(u, v))
         q = PathQuery(random_point(tree.bbox, rng), path)
         c = WorkCounters()
-        assert query_short_tree(ds, q, c) == oracle_query(tree, q.q, path)
+        assert ds.query(q, c) == oracle_query(tree, q.q, path)
         assert c.structures_queried <= math.ceil(len(path) / ds.L)
         assert c.cells_located == len(path)
 
@@ -84,12 +80,12 @@ def test_rejects_non_path():
     tree, rng = complete_tree(3, 16)
     p = random_point(tree.bbox, rng)
     with pytest.raises(VertexNotOnPath):
-        query_short_tree(build_short_tree(tree, rng), PathQuery(p, (1, 2)))
+        ShortTreeDS(tree, rng, strict=True).query(PathQuery(p, (1, 2)))
 
 
 def test_per_vertex_conflict_budget():
     tree, rng = complete_tree(4, 32, seed=9)
-    ds = build_short_tree(tree, rng)
+    ds = ShortTreeDS(tree, rng, strict=True)
     for vid, cut in ds.cuttings.items():
         ni = len(tree.vertices[vid].tiling)
         assert cut.max_conflict() <= 8 * max(1, ni / cut.target)

@@ -1,11 +1,9 @@
 import csv
-import os
 
 import pytest
 
 from ofc2d.cli import main
 from ofc2d.fileio import load_catalog, load_witness_shapes, save_queries
-from ofc2d.catalog.model import PathQuery
 from ofc2d.gen import random_point
 import random
 
@@ -98,36 +96,6 @@ def test_bench_reproducible_counters(tmp_path):
         # Drop the wall-time column before comparing.
         outs.append([[c for i, c in enumerate(r) if i != 2] for r in rows])
     assert outs[0] == outs[1]
-
-
-def test_bench_thread_pool_matches_serial(tmp_path):
-    inst = tmp_path / "t.cat"
-    main(["gen", "--kind", "random-tree", "--vertices", "24", "--height", "5",
-          "--per-vertex", "16", "--seed", "8", "--out", str(inst)])
-    qf = tmp_path / "q.txt"
-    cat = load_catalog(inst)
-    rng = random.Random(8)
-    vids = list(cat.vertices)
-    qs = []
-    for _ in range(20):
-        u, v = rng.choice(vids), rng.choice(vids)
-        qs.append(PathQuery(random_point(cat.bbox, rng),
-                            tuple(cat.path_between(u, v))))
-    save_queries(qs, qf)
-    results = []
-    for threads in ("1", "4"):
-        os.environ["OFC_THREADS"] = threads
-        try:
-            out = tmp_path / f"r{threads}.csv"
-            assert main(["bench", "--instance", str(inst), "--structure",
-                         "tree", "--seed", "8", "--queries", str(qf),
-                         "--verify", "--out", str(out)]) == 0
-            rows = list(csv.reader(out.open()))
-            results.append([[c for i, c in enumerate(r) if i != 2]
-                            for r in rows])
-        finally:
-            del os.environ["OFC_THREADS"]
-    assert results[0] == results[1]
 
 
 def test_bench_subgraph_queries_on_graph(tmp_path):

@@ -7,14 +7,7 @@ from ofc2d.config import C_STAB2, C_STAB3
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import InvalidFanout
 from ofc2d.geometry import Point, Rect
-from ofc2d.stabbing import (
-    Point3,
-    Rect3,
-    stab2d_build,
-    stab2d_query,
-    stab3d_build,
-    stab3d_query,
-)
+from ofc2d.stabbing import Point3, Rect3, Stab2D, Stab3D
 
 from helpers import stab_oracle_2d, stab_oracle_3d
 
@@ -40,77 +33,77 @@ def random_boxes(count, rng, span=1000):
 
 
 def test_stab2d_empty():
-    s = stab2d_build([])
-    assert stab2d_query(s, Point(0, 0)) == set()
+    s = Stab2D([])
+    assert s.query(Point(0, 0)) == set()
 
 
 def test_stab2d_single():
     r = Rect(7, 0, 10, 0, 10)
-    s = stab2d_build([r])
-    assert stab2d_query(s, Point(5, 5)) == {7}
-    assert stab2d_query(s, Point(10, 5)) == set()  # half-open high edge
-    assert stab2d_query(s, Point(0, 0)) == {7}
+    s = Stab2D([r])
+    assert s.query(Point(5, 5)) == {7}
+    assert s.query(Point(10, 5)) == set()  # half-open high edge
+    assert s.query(Point(0, 0)) == {7}
 
 
 def test_stab2d_random_matches_oracle():
     rng = random.Random(3)
     rects = random_rects(100, rng)
-    s = stab2d_build(rects)
+    s = Stab2D(rects)
     for _ in range(200):
         p = Point(rng.randint(-10, 1300), rng.randint(-10, 1300))
-        assert stab2d_query(s, p) == stab_oracle_2d(rects, p)
+        assert s.query(p) == stab_oracle_2d(rects, p)
 
 
 def test_stab2d_entry_bound():
     rng = random.Random(17)
     for n in (16, 128, 1024):
         rects = random_rects(n, rng)
-        s = stab2d_build(rects)
+        s = Stab2D(rects)
         assert s.stored_entries <= C_STAB2 * n * math.ceil(math.log2(n)) + C_STAB2 * n
 
 
 def test_stab2d_output_sensitive_counters():
     rng = random.Random(23)
     rects = random_rects(1024, rng)
-    s = stab2d_build(rects)
+    s = Stab2D(rects)
     for _ in range(100):
         p = Point(rng.randint(0, 1250), rng.randint(0, 1250))
         c = WorkCounters()
-        hits = stab2d_query(s, p, c)
+        hits = s.query(p, c)
         assert c.stab_nodes_visited <= 6 * math.ceil(math.log2(1024)) ** 2 + 4 * len(hits)
 
 
 def test_stab3d_rejects_bad_fanout():
     with pytest.raises(InvalidFanout):
-        stab3d_build([], 1)
+        Stab3D([], 1)
 
 
 def test_stab3d_empty():
-    s = stab3d_build([], 2)
-    assert stab3d_query(s, Point3(0, 0, 0)) == set()
+    s = Stab3D([], 2)
+    assert s.query(Point3(0, 0, 0)) == set()
 
 
 def test_stab3d_unit_cube():
-    s = stab3d_build([Rect3(9, 0, 2, 0, 2, 0, 2)], 4)
-    assert stab3d_query(s, Point3(1, 1, 1)) == {9}
-    assert stab3d_query(s, Point3(1, 1, 2)) == set()
+    s = Stab3D([Rect3(9, 0, 2, 0, 2, 0, 2)], 4)
+    assert s.query(Point3(1, 1, 1)) == {9}
+    assert s.query(Point3(1, 1, 2)) == set()
 
 
 @pytest.mark.parametrize("H", [2, 3, 8])
 def test_stab3d_random_matches_oracle(H):
     rng = random.Random(31 + H)
     boxes = random_boxes(500, rng)
-    s = stab3d_build(boxes, H)
+    s = Stab3D(boxes, H)
     for _ in range(100):
         p = Point3(*(rng.randint(-10, 1300) for _ in range(3)))
-        assert stab3d_query(s, p) == stab_oracle_3d(boxes, p)
+        assert s.query(p) == stab_oracle_3d(boxes, p)
 
 
 def test_stab3d_fanout_law():
     rng = random.Random(41)
     boxes = random_boxes(500, rng)
     for H in (2, 4, 16):
-        s = stab3d_build(boxes, H)
+        s = Stab3D(boxes, H)
         limit = math.ceil(math.log(s.m, H)) + 1
         for _ in range(200):
             z = rng.randint(0, 1300)
@@ -121,6 +114,6 @@ def test_stab3d_entry_bound():
     rng = random.Random(43)
     n, H = 512, 8
     boxes = random_boxes(n, rng)
-    s = stab3d_build(boxes, H)
+    s = Stab3D(boxes, H)
     logn = math.ceil(math.log2(n))
     assert s.stored_entries <= C_STAB3 * n * H * max(1, logn / math.log2(H)) * logn
