@@ -1,11 +1,13 @@
 """Query structures for degree-bounded catalog graphs.
 
 Path queries work directly on the graph with the short-path chunking scheme
-(per-vertex cuttings plus one stabbing structure per simple subpath of
-bounded length, built lazily).  Subgraph queries are reduced to path queries:
-every vertex is expanded into 2d mutually-adjacent copies, a DFS walk of the
-query subgraph's spanning tree becomes a simple path over distinct copies,
-and only the designated tiling-bearing copies contribute answers.
+(per-vertex cuttings plus one stabbing structure per chunk of at most L
+consecutive path vertices, built lazily).  Subgraph queries are reduced to
+path queries: every vertex is expanded into 2d mutually-adjacent copies, and
+a DFS walk of the query subgraph's spanning tree becomes a simple path over
+distinct copies.  Only each vertex's designated copy 0 is cut and indexed, so
+only it contributes an answer; the other copies own no cells and only carry
+the walk.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import random
 
 from ..cutting import cutting_build
 from ..errors import DisconnectedSubgraph
-from ..gen import random_tiling
 from .model import (
     CatalogGraph,
     CatalogVertex,
@@ -29,27 +30,19 @@ from .short_tree import ChunkedStabDS
 
 def graph_to_path_catalog(g: CatalogGraph):
     """Expand every vertex into 2d copies: copies of one vertex form a
-    clique, copies of adjacent vertices are all adjacent, and only copy 0
-    carries the real tiling (the rest get a trivial one-rect tiling)."""
+    clique, copies of adjacent vertices are all adjacent, and every copy
+    shares its vertex's tiling (copy 0 is the designated one)."""
     d = max(2, g.degree)
     ids = sorted(g.vertices)
     base = {v: 2 * d * i for i, v in enumerate(ids)}
     copy_map = {v: [base[v] + j for j in range(2 * d)] for v in ids}
-    bbox = g.bbox
-    dummy = None
     vertices = {}
     for v in ids:
         adj_own = copy_map[v]
         adj_other = [c for u in g.vertices[v].adjacency for c in copy_map[u]]
-        for j, cid in enumerate(adj_own):
+        for cid in adj_own:
             adjacency = tuple(c for c in adj_own if c != cid) + tuple(adj_other)
-            if j == 0:
-                tiling = g.vertices[v].tiling
-            else:
-                if dummy is None:
-                    dummy = random_tiling(bbox, 1, random.Random(0))
-                tiling = dummy
-            vertices[cid] = CatalogVertex(cid, tiling, adjacency)
+            vertices[cid] = CatalogVertex(cid, g.vertices[v].tiling, adjacency)
     g2 = CatalogGraph(vertices, degree=(2 * d - 1) + 2 * d * d)
     return g2, copy_map
 
@@ -97,28 +90,25 @@ class GraphDS(ChunkedStabDS):
         d = max(2, g.degree)
         self.g = g
         self.expanded, self.copy_map = graph_to_path_catalog(g)
-        designated = {copies[0]: v for v, copies in self.copy_map.items()}
         self._init_engine(g.n)
         # Cutting conflict budget r^(2 log d) per the generalized scheme; at
         # desk scale this usually degrades to one cell per vertex.
         strength = self.r ** (2 * math.log2(d))
-        for cid, v in self.expanded.vertices.items():
-            ni = len(v.tiling)
+        for vid, copies in self.copy_map.items():
+            tiling = g.vertices[vid].tiling
+            ni = len(tiling)
             rho = max(1, min(ni, math.ceil(ni / strength)))
-            # Copies without the real tiling answer under None; query drops it.
-            self._add_cutting(cid, cutting_build(v.tiling, rho, rng),
-                              designated.get(cid))
+            self._add_cutting(copies[0], cutting_build(tiling, rho, rng), vid)
+            for cid in copies[1:]:
+                self.cell_rects[cid] = []
 
     def query(self, q, counters=None) -> QueryAnswer:
         """Answer a SubgraphQuery through its walk over distinct copies, or a
         PathQuery over the graph through the designated copies."""
         if isinstance(q, SubgraphQuery):
+            # Adjacency is symmetric, so consecutive walk copies are adjacent.
             path = subgraph_to_walk(self.g, q, self.copy_map).path
         else:
-            for v in q.path:
-                self.g.check_vertex(v)
+            check_path(self.g, q.path)
             path = tuple(self.copy_map[v][0] for v in q.path)
-        check_path(self.expanded, path)
-        found = self._locate_chunks(q.q, path, counters)
-        found.pop(None, None)
-        return QueryAnswer(found)
+        return QueryAnswer(self._locate_chunks(q.q, path, counters))

@@ -10,23 +10,16 @@ from __future__ import annotations
 
 import math
 
-from ..errors import PathTooShort
 from .model import CatalogTree, PathQuery, QueryAnswer, check_path, heavy_path_decompose
 from .path_ds import PathDS
 
 
 class LongPathDS:
-    __slots__ = ("tree", "strict", "paths", "path_of", "structures", "min_len",
-                 "stored_entries")
+    __slots__ = ("tree", "paths", "path_of", "structures", "stored_entries")
 
-    def __init__(self, tree: CatalogTree, strict: bool = False):
-        """``strict``: queries of at most ``min_len`` vertices raise
-        PathTooShort instead of being answered."""
-        n = max(2, tree.n)
-        logn = math.log2(n)
+    def __init__(self, tree: CatalogTree):
+        logn = math.log2(max(2, tree.n))
         self.tree = tree
-        self.strict = strict
-        self.min_len = math.floor(logn * logn / 2)
         self.paths = heavy_path_decompose(tree)
         self.path_of = {}
         for pi, p in enumerate(self.paths):
@@ -39,10 +32,6 @@ class LongPathDS:
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         path = q.path
         check_path(self.tree, path)
-        if self.strict and len(path) <= self.min_len:
-            raise PathTooShort(
-                f"|path|={len(path)} <= {self.min_len}; use the dispatcher"
-            )
         runs = []
         for v in path:
             pi = self.path_of[v]

@@ -18,7 +18,7 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import InvalidHeights, NotRootToLeaf, PathOutOfRegime
+from ..errors import InvalidHeights, NotRootToLeaf, PointOutsideBBox
 from ..stabbing import Point3, Rect3, Stab3D
 from .model import CatalogTree, PathQuery, QueryAnswer, assign_z_ranges, check_path
 
@@ -98,6 +98,10 @@ class RootLeafDS:
         hits = self.stab.query(Point3(q.x, q.y, z_q), counters)
         if counters is not None:
             counters.structures_queried += 1
+        # The root's cells cover the bbox at every z, so only a point outside
+        # it is in no box.
+        if not hits:
+            raise PointOutsideBBox(f"{q} outside the catalog bbox")
         out = {}
         for gid in hits:
             vid, ci = self.cell_owner[gid]
@@ -147,13 +151,10 @@ class _RecNode:
         while True:
             sub = node.sub
             a, b = seg[0], seg[-1]
-            if sub.depth[a] == 0 and not sub.children[b]:
-                # Complete root-to-leaf path: one exact query, nothing wasted.
-                out.update(node.rl.locate_along(q, b, set(seg), counters))
-                return
-            if node.top is None:
-                # Truncation level: extend to a full root-to-leaf query and
-                # discard the answers outside seg.
+            if node.top is None or (sub.depth[a] == 0 and not sub.children[b]):
+                # A complete root-to-leaf path is one exact query; at the
+                # truncation level the query is extended to a full
+                # root-to-leaf one and the answers outside seg are discarded.
                 out.update(node.rl.locate_along(q, b, set(seg), counters))
                 return
             cut = node.cut
@@ -177,13 +178,11 @@ class _RecNode:
 
 
 class MidTreeDS:
-    __slots__ = ("tree", "h1", "h2", "strict", "forest", "forest_of", "levels",
+    __slots__ = ("tree", "h1", "h2", "forest", "forest_of", "levels",
                  "stored_entries")
 
     def __init__(self, tree: CatalogTree, h1: int, h2: int,
-                 rng: random.Random | None = None, strict: bool = False):
-        """``strict``: queries whose length is outside [h1, h2] raise
-        PathOutOfRegime instead of being answered."""
+                 rng: random.Random | None = None):
         if not 1 <= h1 < h2:
             raise InvalidHeights(f"need 1 <= h1 < h2, got {h1}, {h2}")
         if rng is None:
@@ -191,7 +190,6 @@ class MidTreeDS:
         self.tree = tree
         self.h1 = h1
         self.h2 = h2
-        self.strict = strict
         roots = sorted(v for v, d in tree.depth.items() if d % h2 == 0)
         self.forest = {}
         for v in roots:
@@ -208,8 +206,6 @@ class MidTreeDS:
         t = self.tree
         path = q.path
         check_path(t, path)
-        if self.strict and not (self.h1 <= len(path) <= self.h2):
-            raise PathOutOfRegime(f"|path|={len(path)} outside [{self.h1}, {self.h2}]")
         k = min(range(len(path)), key=lambda i: t.depth[path[i]])
         halves = [list(reversed(path[: k + 1])), list(path[k + 1:])]
         out = {}

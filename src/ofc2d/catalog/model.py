@@ -30,11 +30,27 @@ class CatalogVertex:
     adjacency: tuple
 
 
+def check_catalog(vertices):
+    """Raise ValueError unless every neighbour exists, adjacency is symmetric
+    and all tilings share one bbox."""
+    adjacency = {vid: set(v.adjacency) for vid, v in vertices.items()}
+    for vid, nbrs in adjacency.items():
+        for u in nbrs:
+            if u not in adjacency:
+                raise ValueError(f"vertex {vid} lists unknown neighbour {u}")
+            if vid not in adjacency[u]:
+                raise ValueError(f"vertex {vid} lists {u}, which does not list it")
+    bboxes = {v.tiling.bbox.key() for v in vertices.values()}
+    if len(bboxes) > 1:
+        raise ValueError(f"vertex tilings have {len(bboxes)} different bboxes")
+
+
 class CatalogTree:
     __slots__ = ("vertices", "root", "parent", "children", "depth", "height",
                  "leaves", "n")
 
     def __init__(self, vertices: dict, root: int):
+        check_catalog(vertices)
         self.vertices = vertices
         self.root = root
         self.parent = {root: None}
@@ -116,6 +132,7 @@ class CatalogGraph:
     __slots__ = ("vertices", "degree", "n")
 
     def __init__(self, vertices: dict, degree: int):
+        check_catalog(vertices)
         self.vertices = vertices
         self.degree = degree
         for v in vertices.values():

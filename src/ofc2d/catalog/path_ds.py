@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..errors import VertexNotOnPath
+from ..errors import PointOutsideBBox, VertexNotOnPath
 from ..geometry import Rect
 from ..stabbing import Stab2D
 from .model import CatalogTree, PathQuery, QueryAnswer
@@ -58,6 +58,10 @@ class PathDS:
             hits = self.blocks[b].query(q.q, counters)
             if counters is not None:
                 counters.structures_queried += 1
+            # Each block vertex's tiling covers the bbox, so only a point
+            # outside it is in no rect.
+            if not hits:
+                raise PointOutsideBBox(f"{q.q} outside the catalog bbox")
             owner = self.owners[b]
             for i in hits:
                 v, rid = owner[i]

@@ -13,54 +13,10 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import HeightOutOfRegime
+from ..errors import PointOutsideBBox
 from ..geometry import Rect
 from ..stabbing import Stab2D
 from .model import CatalogTree, PathQuery, QueryAnswer, check_path
-
-
-def enumerate_subpaths(tree: CatalogTree, max_len: int):
-    """All simple paths with 1..max_len vertices, one canonical key each:
-    the chunk keys a ShortTreeDS with L = max_len can build a stab for.
-
-    A path is its apex (highest vertex) plus downward arms into at most two
-    distinct child subtrees.
-    """
-    down = {}  # v -> list of downward vertex tuples starting at v, len <= max_len
-
-    order = [tree.root]
-    for u in order:
-        order.extend(tree.children[u])
-    for v in reversed(order):
-        paths = [(v,)]
-        for c in tree.children[v]:
-            for p in down[c]:
-                if 1 + len(p) <= max_len:
-                    paths.append((v,) + p)
-        down[v] = paths
-
-    out = set()
-    for v in order:
-        arms = {}
-        for c in tree.children[v]:
-            arms[c] = [p for p in down[c] if len(p) < max_len]
-        for c, ps in arms.items():
-            for p in ps:
-                out.add(_canon((v,) + p))
-        kids = list(arms)
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                for p1 in arms[kids[i]]:
-                    for p2 in arms[kids[j]]:
-                        if len(p1) + len(p2) + 1 <= max_len:
-                            out.add(_canon(tuple(reversed(p1)) + (v,) + p2))
-        out.add((v,))
-    return out
-
-
-def _canon(seq):
-    rev = tuple(reversed(seq))
-    return seq if seq <= rev else rev
 
 
 class ChunkedStabDS:
@@ -70,7 +26,8 @@ class ChunkedStabDS:
     one to its answer key, its vertex's cutting and its local cell index),
     and each chunk of at most L consecutive path vertices is answered by one
     Stab2D over the chunk's cells, built on first use and cached under the
-    chunk's canonical key.  Subclasses build the cuttings and check the path.
+    chunk's canonical key.  Subclasses build the cuttings and check the path;
+    a vertex given no cutting owns no cells and gets no answer.
     """
 
     __slots__ = ("r", "L", "cuttings", "cell_rects", "cell_owner", "_stabs",
@@ -107,8 +64,8 @@ class ChunkedStabDS:
 
     def _locate_chunks(self, q, path, counters) -> dict:
         """Answer key -> id of the rect containing point ``q``, for every
-        vertex of ``path``, whose consecutive vertices the caller has checked
-        adjacent."""
+        vertex of ``path`` that owns cells; the caller has checked that
+        consecutive vertices are adjacent."""
         L, owner = self.L, self.cell_owner
         out = {}
         for i in range(0, len(path), L):
@@ -122,19 +79,16 @@ class ChunkedStabDS:
                 out[k] = cut.conflict_index(ci).locate(q, counters)
                 if counters is not None:
                     counters.cells_located += 1
+        # Cells tile the bbox, so only a point outside it is in none of them.
+        if path and not out:
+            raise PointOutsideBBox(f"{q} outside the catalog bbox")
         return out
 
 
 class ShortTreeDS(ChunkedStabDS):
     __slots__ = ("tree",)
 
-    def __init__(self, tree: CatalogTree, rng: random.Random | None = None,
-                 strict: bool = False):
-        """``strict``: reject a tree taller than (log n)/2 with
-        HeightOutOfRegime instead of building it."""
-        logn = math.log2(max(2, tree.n))
-        if strict and tree.height > logn / 2:
-            raise HeightOutOfRegime(f"height {tree.height} > {logn / 2:.1f}")
+    def __init__(self, tree: CatalogTree, rng: random.Random | None = None):
         if rng is None:
             rng = random.Random(0)
         self.tree = tree

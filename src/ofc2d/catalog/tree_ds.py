@@ -21,19 +21,17 @@ SHORT, MID, LONG = "short", "mid", "long"
 class TreeDS:
     __slots__ = ("tree", "t1", "t2", "short", "mid", "long")
 
-    def __init__(self, tree: CatalogTree, rounds: int = 1,
-                 rng: random.Random | None = None):
+    def __init__(self, tree: CatalogTree, rng: random.Random | None = None):
         if rng is None:
             rng = random.Random(0)
         n = max(2, tree.n)
         self.tree = tree
         self.t1, self.t2 = regime_heights(n)
-        # Mid queries have more than t1 vertices and only the deepest layer's
-        # window is ever routed to, so layers whose deepest window ends at or
-        # below t1 would never be used.
-        chain = f_chain(n, rounds)
-        if chain and layer_hi(n, chain[-1]) <= self.t1:
-            rounds = 0
+        # One bootstrap round, built only when its layer's window passes t1:
+        # mid queries have more than t1 vertices, so a layer whose window
+        # ends at or below t1 would never be routed to.
+        chain = f_chain(n, 1)
+        rounds = 1 if chain and layer_hi(n, chain[-1]) > self.t1 else 0
         self.short = ShortTreeDS(tree, rng)
         self.mid = BootstrappedDS(tree, rounds, rng, h1=self.t1, h2=self.t2)
         self.long = LongPathDS(tree)

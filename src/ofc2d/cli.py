@@ -5,14 +5,13 @@ Subcommands::
 
     ofc2d gen --kind {random-path,random-tree,random-graph,lb-short,lb-mid} \
         --seed S --out FILE [kind-specific flags]
-    ofc2d build-stats --instance FILE --structure KIND --seed S [--rounds R]
+    ofc2d build-stats --instance FILE --structure KIND --seed S
     ofc2d bench --instance FILE --structure KIND --seed S --out CSV \
-        [--queries FILE | --count N --path-len L] [--verify] [--rounds R]
+        [--queries FILE | --count N --path-len L] [--verify]
 
 Counters (not wall time) are the portable cost model; bench emits one CSV
 row per query plus a summary row and exits nonzero on any oracle mismatch.
-Every structure answers ``ds.query(q, counters)``; bench builds them
-non-strict, so any path length is answered.
+Every structure answers ``ds.query(q, counters)`` for any path length.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def cmd_gen(args):
     return 0
 
 
-def _build_structure(cat, kind, rounds, rng):
+def _build_structure(cat, kind, rng):
     if kind == "graph":
         if not isinstance(cat, CatalogGraph):
             raise Ofc2dError("graph structure needs a graph instance")
@@ -85,7 +84,7 @@ def _build_structure(cat, kind, rounds, rng):
     if kind == "long-path":
         return LongPathDS(cat)
     if kind == "tree":
-        return TreeDS(cat, rounds, rng)
+        return TreeDS(cat, rng)
     raise Ofc2dError(f"unknown structure kind {kind}")
 
 
@@ -93,7 +92,7 @@ def cmd_build_stats(args, out=None):
     out = out if out is not None else sys.stdout
     cat = fileio.load_catalog(args.instance)
     rng = random.Random(args.seed)
-    ds = _build_structure(cat, args.structure, args.rounds, rng)
+    ds = _build_structure(cat, args.structure, rng)
     n = cat.n
     entries = ds.stored_entries
     # Measured space exponent e in entries = n * (log2 n)^e.
@@ -139,7 +138,7 @@ def _random_workload(cat, count, path_len, rng):
 def cmd_bench(args):
     cat = fileio.load_catalog(args.instance)
     rng = random.Random(args.seed)
-    ds = _build_structure(cat, args.structure, args.rounds, rng)
+    ds = _build_structure(cat, args.structure, rng)
     if args.queries:
         workload = fileio.load_queries(args.queries)
     else:
@@ -201,7 +200,6 @@ def make_parser():
                        choices=["path", "short-tree", "mid-tree", "tree",
                                 "graph", "long-path"])
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--rounds", type=int, default=1)
         if name == "bench":
             p.add_argument("--out", required=True)
             p.add_argument("--queries")

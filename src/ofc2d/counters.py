@@ -18,21 +18,7 @@ class WorkCounters:
     structures_queried: int = 0
     cells_located: int = 0
 
-    def reset(self):
-        self.stab_nodes_visited = 0
-        self.pl_comparisons = 0
-        self.structures_queried = 0
-        self.cells_located = 0
-
     @property
     def total(self):
         """Scalar work measure: point-location comparisons plus stabbing nodes."""
         return self.stab_nodes_visited + self.pl_comparisons
-
-    def snapshot(self):
-        return (
-            self.stab_nodes_visited,
-            self.pl_comparisons,
-            self.structures_queried,
-            self.cells_located,
-        )

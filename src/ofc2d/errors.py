@@ -32,10 +32,6 @@ class RetryExhausted(Ofc2dError):
     """
 
 
-class HeightOutOfRegime(Ofc2dError):
-    """Catalog tree height violates the structure's regime bound."""
-
-
 class InvalidHeights(Ofc2dError):
     """h1/h2 window parameters are inconsistent."""
 
@@ -50,14 +46,6 @@ class NotRootToLeaf(Ofc2dError):
 
 class VertexNotOnPath(Ofc2dError):
     """A queried vertex does not belong to the catalog path."""
-
-
-class PathOutOfRegime(Ofc2dError):
-    """Query path length outside the structure's supported window."""
-
-
-class PathTooShort(Ofc2dError):
-    """Query path too short for the long-path structure; use the dispatcher."""
 
 
 class DisconnectedSubgraph(Ofc2dError):

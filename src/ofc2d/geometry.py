@@ -87,22 +87,16 @@ class Tiling:
     lazily on first use and cached.
     """
 
-    __slots__ = ("bbox", "rects", "_by_id", "_index", "_scan")
+    __slots__ = ("bbox", "rects", "_index", "_scan")
 
     def __init__(self, bbox: Rect, rects):
         self.bbox = bbox
         self.rects = tuple(rects)
-        self._by_id = None
         self._index = None
         self._scan = None
 
     def __len__(self):
         return len(self.rects)
-
-    def rect_by_id(self, rid: int) -> Rect:
-        if self._by_id is None:
-            self._by_id = {r.id: r for r in self.rects}
-        return self._by_id[rid]
 
     def index(self) -> "SlabIndex":
         if self._index is None:

@@ -102,7 +102,7 @@ def test_criterion_1_oracle_equivalence():
                 elif kind == "mid-tree":
                     ds = MidTreeDS(cat, h1, h2, rng)
                 elif kind == "tree":
-                    ds = TreeDS(cat, 1, rng)
+                    ds = TreeDS(cat, rng)
                 elif kind == "long-path":
                     ds = LongPathDS(cat)
                 else:
@@ -173,7 +173,8 @@ def test_criterion_2_structural_invariants():
 def _short_speedup(n):
     h = int(math.log2(n)) // 2
     tree, _ = gen_short_tree_instance(n, h)
-    ds = ShortTreeDS(tree, rng=random.Random(1), strict=True)
+    assert tree.height <= math.log2(tree.n) / 2
+    ds = ShortTreeDS(tree, rng=random.Random(1))
     rng = random.Random(2)
     naive = fast = 0
     for _ in range(100):
@@ -269,7 +270,7 @@ def test_criterion_6_space_accounting(tmp_path):
 
         cat = fileio.load_catalog(inst)
         for kind in ("short-tree", "mid-tree", "tree", "long-path"):
-            ds = cli._build_structure(cat, kind, 1, random.Random(6))
+            ds = cli._build_structure(cat, kind, random.Random(6))
             entries = ds.stored_entries
             logn = math.log2(cat.n)
             exp = math.log2(entries / cat.n) / math.log2(logn) if entries > cat.n else 0.0

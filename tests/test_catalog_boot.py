@@ -41,7 +41,7 @@ def test_rounds_zero_matches_midtree():
     rng = random.Random(2)
     cat = random_tree_catalog(80, 2048, 14, rng)
     ds = BootstrappedDS(cat, 0, random.Random(7))
-    ref = MidTreeDS(cat, ds.h1, ds.h2, random.Random(7), strict=True)
+    ref = MidTreeDS(cat, ds.h1, ds.h2, random.Random(7))
     assert ds.layers == []
     for path in mid_paths(cat, rng, ds.h1, min(ds.h2, 15), 30):
         q = PathQuery(random_point(cat.bbox, rng), path)
@@ -86,7 +86,7 @@ def test_extra_cost_bounded():
     cat = random_tree_catalog(120, 4096, 18, rng)
     rounds = 2
     ds = BootstrappedDS(cat, rounds, rng)
-    base = MidTreeDS(cat, ds.h1, ds.h2, random.Random(9), strict=True)
+    base = MidTreeDS(cat, ds.h1, ds.h2, random.Random(9))
     f0 = math.ceil(math.log2(cat.n))
     for path in mid_paths(cat, rng, ds.h1, min(ds.h2, 19), 30):
         if ds.route(len(path)) < 0:

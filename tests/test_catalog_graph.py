@@ -122,3 +122,20 @@ def test_rejects_unknown_and_non_adjacent():
         ds.query(SubgraphQuery(p, frozenset({0, 42})))
     with pytest.raises(VertexNotOnPath):
         ds.query(PathQuery(p, (0, 3)))
+
+
+def test_only_designated_copies_are_indexed():
+    rng = random.Random(9)
+    g = random_graph_catalog(20, 80, 3, rng)
+    ds = GraphDS(g, rng)
+    assert len(ds.cuttings) == len(g.vertices)
+    assert set(ds.cuttings) == {copies[0] for copies in ds.copy_map.values()}
+    vids = list(g.vertices)
+    for _ in range(30):
+        vs = {rng.choice(vids)}
+        while len(vs) < 4:
+            vs.add(rng.choice([w for v in vs for w in g.vertices[v].adjacency]))
+        q = SubgraphQuery(random_point(g.bbox, rng), frozenset(vs))
+        ans = ds.query(q)
+        assert None not in ans.by_vertex
+        assert ans == oracle_query(g, q.q, sorted(vs))

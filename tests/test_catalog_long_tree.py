@@ -4,10 +4,9 @@ import random
 import pytest
 
 from ofc2d.catalog.long_path import LongPathDS
-from ofc2d.catalog.model import PathQuery
+from ofc2d.catalog.model import PathQuery, regime_heights
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import PathTooShort
 from ofc2d.gen import random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
@@ -49,19 +48,11 @@ def test_single_heavy_path_query():
     assert c.structures_queried == 1
 
 
-def test_too_short_raises():
-    cat, rng = tall_catalog(2)
-    ds = LongPathDS(cat, strict=True)
-    q = PathQuery(random_point(cat.bbox, rng), (cat.root,))
-    with pytest.raises(PathTooShort):
-        ds.query(q)
-
-
 def test_long_queries_match_oracle_with_bounds():
     cat, rng = tall_catalog(3)
-    ds = LongPathDS(cat, strict=True)
+    ds = LongPathDS(cat)
     logn = math.ceil(math.log2(cat.n))
-    for path in long_paths(cat, rng, ds.min_len, 50):
+    for path in long_paths(cat, rng, regime_heights(cat.n)[1], 50):
         q = PathQuery(random_point(cat.bbox, rng), path)
         c = WorkCounters()
         assert ds.query(q, c) == oracle_query(cat, q.q, path)
@@ -83,7 +74,7 @@ def test_root_to_leaf_heavy_path_bound():
 
 def test_dispatcher_all_regimes_match_oracle():
     cat, rng = tall_catalog(5)
-    ds = TreeDS(cat, rounds=1, rng=rng)
+    ds = TreeDS(cat, rng=rng)
     vids = list(cat.vertices)
     for _ in range(120):
         u, v = rng.choice(vids), rng.choice(vids)
@@ -94,7 +85,7 @@ def test_dispatcher_all_regimes_match_oracle():
 
 def test_dispatcher_threshold_consistency():
     cat, rng = tall_catalog(6)
-    ds = TreeDS(cat, rounds=1, rng=rng)
+    ds = TreeDS(cat, rng=rng)
     vids = list(cat.vertices)
     checked = 0
     for _ in range(4000):
@@ -119,7 +110,7 @@ def test_dispatcher_threshold_consistency():
 
 def test_dispatcher_single_vertex():
     cat, rng = tall_catalog(7)
-    ds = TreeDS(cat, rounds=0, rng=rng)
+    ds = TreeDS(cat, rng=rng)
     q = PathQuery(random_point(cat.bbox, rng), (cat.root,))
     assert ds.regime(1) == "short"
     assert ds.query(q) == oracle_query(cat, q.q, [cat.root])

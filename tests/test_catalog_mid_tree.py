@@ -6,11 +6,7 @@ import pytest
 from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import (
-    InvalidHeights,
-    NotRootToLeaf,
-    PathOutOfRegime,
-)
+from ofc2d.errors import InvalidHeights, NotRootToLeaf
 from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
@@ -83,20 +79,11 @@ def test_midtree_hierarchy_shape():
     assert sorted(ds.forest) == sorted(cut_roots)
 
 
-def test_midtree_regime_enforced():
-    rng = random.Random(8)
-    cat = random_tree_catalog(40, 512, 12, rng)
-    ds = MidTreeDS(cat, 3, 9, rng, strict=True)
-    p = random_point(cat.bbox, rng)
-    with pytest.raises(PathOutOfRegime):
-        ds.query(PathQuery(p, (cat.root,)))
-
-
 def test_midtree_random_queries_match_oracle():
     rng = random.Random(9)
     cat = random_tree_catalog(150, 4096, 24, rng)
     h1, h2 = 4, 16
-    ds = MidTreeDS(cat, h1, h2, rng, strict=True)
+    ds = MidTreeDS(cat, h1, h2, rng)
     vids = list(cat.vertices)
     done = 0
     while done < 100:
@@ -116,7 +103,7 @@ def test_midtree_random_queries_match_oracle():
 def test_midtree_path_inside_one_truncation_subtree():
     rng = random.Random(10)
     cat = random_tree_catalog(80, 1024, 12, rng)
-    ds = MidTreeDS(cat, 4, 12, rng, strict=True)
+    ds = MidTreeDS(cat, 4, 12, rng)
     # A short descending path confined to one truncation subtree.
     vids = list(cat.vertices)
     for _ in range(200):

@@ -4,17 +4,22 @@ import random
 import pytest
 
 from ofc2d.catalog.model import (
+    CatalogGraph,
     CatalogTree,
+    CatalogVertex,
     PathQuery,
     assign_z_ranges,
     heavy_path_decompose,
 )
 from ofc2d.errors import UnknownVertex
 from ofc2d.gen import (
+    default_bbox,
     random_graph_catalog,
     random_path_catalog,
+    random_tiling,
     random_tree_catalog,
 )
+from ofc2d.geometry import Rect
 from ofc2d.oracle import oracle_query
 from ofc2d.gen import random_point
 
@@ -121,3 +126,27 @@ def test_tree_rejects_cycle_and_disconnection():
     }
     with pytest.raises(ValueError):
         CatalogTree(disc, 0)
+
+
+def _pair(adj0, adj1, bbox1=None):
+    """Two vertices with the given adjacency; vertex 1 tiles ``bbox1``."""
+    rng = random.Random(12)
+    bbox = default_bbox(8)
+    return {
+        0: CatalogVertex(0, random_tiling(bbox, 2, rng), adj0),
+        1: CatalogVertex(1, random_tiling(bbox1 or bbox, 2, rng), adj1),
+    }
+
+
+@pytest.mark.parametrize("build", [
+    lambda vs: CatalogTree(vs, 0),
+    lambda vs: CatalogGraph(vs, 3),
+], ids=["tree", "graph"])
+def test_catalogs_check_adjacency_and_bbox(build):
+    build(_pair((1,), (0,)))  # well formed
+    with pytest.raises(ValueError, match="unknown neighbour"):
+        build(_pair((1,), (0, 5)))
+    with pytest.raises(ValueError, match="does not list"):
+        build(_pair((1,), ()))
+    with pytest.raises(ValueError, match="bboxes"):
+        build(_pair((1,), (0,), bbox1=Rect(-1, 0, 16, 0, 8)))

@@ -114,3 +114,21 @@ def test_comments_and_blanks_ignored(tmp_path):
     noisy.write_text("# header comment\n\n" + p.read_text().replace(
         "root", "root", 1))
     assert same_catalog(load_catalog(noisy), cat)
+
+
+@pytest.mark.parametrize("edit", [
+    ("adj 2 0 1\n", "adj 2 0 1 7\n"),  # unknown neighbour
+    ("adj 2 0 1\n", "adj 2 0\n"),  # asymmetric: 1 lists 2, 2 omits 1
+    ("bbox 0 8 0 8\nrect 4", "bbox 0 8 0 9\nrect 4"),  # second bbox
+], ids=["unknown", "asymmetric", "bbox"])
+def test_load_rejects_inconsistent_catalog(tmp_path, edit):
+    text = ("graph 3 3\nadj 0 2\nadj 1 2\nadj 2 0 1\n"
+            "vertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"
+            "vertex 1 1\nbbox 0 8 0 8\nrect 1 0 8 0 8\n"
+            "vertex 2 1\nbbox 0 8 0 8\nrect 4 0 8 0 8\n")
+    p = tmp_path / "g.cat"
+    p.write_text(text)
+    load_catalog(p)
+    p.write_text(text.replace(*edit))
+    with pytest.raises(ValueError):
+        load_catalog(p)
