@@ -24,6 +24,7 @@ from .model import (
     QueryAnswer,
     SubgraphQuery,
     check_path,
+    check_vertices,
 )
 from .short_tree import ChunkedStabDS
 
@@ -51,8 +52,7 @@ def subgraph_to_walk(g: CatalogGraph, query: SubgraphQuery, copy_map) -> PathQue
     """DFS walk of a spanning tree of the query's vertex set, lifted to a
     simple path in the expanded graph via one fresh copy per revisit."""
     vs = set(query.vertex_set)
-    for v in vs:
-        g.check_vertex(v)
+    check_vertices(g.vertices, vs)
     start = min(vs)
     seen = {start}
     tree_kids = {v: [] for v in vs}
@@ -99,8 +99,6 @@ class GraphDS(ChunkedStabDS):
             ni = len(tiling)
             rho = max(1, min(ni, math.ceil(ni / strength)))
             self._add_cutting(copies[0], cutting_build(tiling, rho, rng), vid)
-            for cid in copies[1:]:
-                self.cell_rects[cid] = []
 
     def query(self, q, counters=None) -> QueryAnswer:
         """Answer a SubgraphQuery through its walk over distinct copies, or a

@@ -2,8 +2,9 @@
 
 RootLeafDS answers a root-to-leaf query with a single 3D stab: every vertex
 gets a z range (leaves get unit ranges, parents the union), each cutting cell
-is lifted to a 3D box over its owner's z range, and stabbing at the deepest
-vertex's z value returns exactly one cell per path vertex.
+is lifted to a 3D box over its vertex's z range with the payload (vertex,
+cutting, cell index), and stabbing at the deepest vertex's z value returns
+exactly one cell per path vertex.
 
 MidTreeDS covers arbitrary mid-length paths: the tree is cut into a forest at
 depth multiples of h2, each forest tree carries a halving recursion of
@@ -19,8 +20,9 @@ import random
 
 from ..cutting import cutting_build
 from ..errors import InvalidHeights, NotRootToLeaf, PointOutsideBBox
-from ..stabbing import Point3, Rect3, Stab3D
-from .model import CatalogTree, PathQuery, QueryAnswer, assign_z_ranges, check_path
+from ..stabbing import Stab3D
+from .model import (CatalogTree, PathQuery, QueryAnswer, assign_z_ranges, check_path,
+                    check_vertices)
 
 
 class SubTree(CatalogTree):
@@ -53,8 +55,7 @@ class SubTree(CatalogTree):
 
 
 class RootLeafDS:
-    __slots__ = ("tree", "r", "H", "cuttings", "cell_owner", "z", "stab",
-                 "stored_entries")
+    __slots__ = ("tree", "r", "H", "cuttings", "z", "stab", "stored_entries")
 
     def __init__(self, tree, rng: random.Random | None = None):
         n = max(2, tree.n)
@@ -68,9 +69,7 @@ class RootLeafDS:
         self.H = max(2, int(self.r / denom))
         self.z = assign_z_ranges(tree)
         self.cuttings = {}
-        self.cell_owner = {}
         boxes = []
-        gid = 0
         self.stored_entries = 0
         for vid, v in tree.vertices.items():
             ni = len(v.tiling)
@@ -78,15 +77,14 @@ class RootLeafDS:
             cut = cutting_build(v.tiling, rho, rng)
             self.cuttings[vid] = cut
             zlo, zhi = self.z[vid]
-            for i, cell in enumerate(cut.cells.rects):
-                boxes.append(Rect3(gid, cell.xlo, cell.xhi, cell.ylo, cell.yhi, zlo, zhi))
-                self.cell_owner[gid] = (vid, i)
-                gid += 1
+            boxes += [(cell, zlo, zhi, (vid, cut, i))
+                      for i, cell in enumerate(cut.cells.rects)]
             self.stored_entries += sum(len(c) for c in cut.conflicts)
         self.stab = Stab3D(boxes, self.H)
         self.stored_entries += self.stab.stored_entries
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
+        check_vertices(self.tree.vertices, q.path)
         if not self.tree.is_root_to_leaf(q.path):
             raise NotRootToLeaf(f"{q.path} is not a root-to-leaf path")
         return QueryAnswer(self.locate_along(q.q, q.path[-1], set(q.path), counters))
@@ -94,8 +92,7 @@ class RootLeafDS:
     def locate_along(self, q, end_vid, wanted, counters=None) -> dict:
         """Locate q at every ancestor of a leaf under ``end_vid``; keep the
         vertices in ``wanted``, discard (but still pay for) the rest."""
-        z_q = self.z[end_vid][0]
-        hits = self.stab.query(Point3(q.x, q.y, z_q), counters)
+        hits = self.stab.query(q, self.z[end_vid][0], counters)
         if counters is not None:
             counters.structures_queried += 1
         # The root's cells cover the bbox at every z, so only a point outside
@@ -103,9 +100,8 @@ class RootLeafDS:
         if not hits:
             raise PointOutsideBBox(f"{q} outside the catalog bbox")
         out = {}
-        for gid in hits:
-            vid, ci = self.cell_owner[gid]
-            rid = self.cuttings[vid].conflict_index(ci).locate(q, counters)
+        for vid, cut, ci in hits:
+            rid = cut.conflict_index(ci).locate(q, counters)
             if counters is not None:
                 counters.cells_located += 1
             if vid in wanted:

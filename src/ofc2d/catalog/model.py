@@ -96,14 +96,9 @@ class CatalogTree:
     def bbox(self):
         return self.vertices[self.root].tiling.bbox
 
-    def check_vertex(self, vid):
-        if vid not in self.vertices:
-            raise UnknownVertex(f"vertex {vid}")
-
     def path_between(self, u: int, v: int):
         """Ordered vertex list of the unique tree path from u to v."""
-        self.check_vertex(u)
-        self.check_vertex(v)
+        check_vertices(self.vertices, (u, v))
         au, av = [], []
         uu, vv = u, v
         while self.depth[uu] > self.depth[vv]:
@@ -158,18 +153,21 @@ class CatalogGraph:
     def bbox(self):
         return next(iter(self.vertices.values())).tiling.bbox
 
-    def check_vertex(self, vid):
-        if vid not in self.vertices:
-            raise UnknownVertex(f"vertex {vid}")
+
+def check_vertices(vertices, vids):
+    """Raise UnknownVertex unless every id in ``vids`` is a key of
+    ``vertices``; callers check all ids before anything else, as the oracle
+    does."""
+    for v in vids:
+        if v not in vertices:
+            raise UnknownVertex(f"vertex {v}")
 
 
 def check_path(catalog, path):
     """Raise unless every vertex of ``path`` is in ``catalog`` and each one is
     adjacent to the next."""
     vertices = catalog.vertices
-    for v in path:
-        if v not in vertices:
-            raise UnknownVertex(f"vertex {v}")
+    check_vertices(vertices, path)
     for a, b in zip(path, path[1:]):
         if b not in vertices[a].adjacency:
             raise VertexNotOnPath(f"{a} and {b} not adjacent")

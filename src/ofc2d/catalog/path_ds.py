@@ -1,5 +1,6 @@
 """Query structure for catalog paths: blocks of consecutive vertices, one 2D
-stabbing structure per block.
+stabbing structure per block over its vertices' rects, each stored with the
+payload (vertex, rect id).
 
 A stab at q inside a block returns exactly one rect per block vertex (each
 vertex's tiling covers the box), so a path query touches about
@@ -11,13 +12,12 @@ from __future__ import annotations
 import math
 
 from ..errors import PointOutsideBBox, VertexNotOnPath
-from ..geometry import Rect
 from ..stabbing import Stab2D
-from .model import CatalogTree, PathQuery, QueryAnswer
+from .model import CatalogTree, PathQuery, QueryAnswer, check_vertices
 
 
 class PathDS:
-    __slots__ = ("order", "pos", "block_size", "blocks", "owners",
+    __slots__ = ("vertices", "order", "pos", "block_size", "blocks",
                  "stored_entries")
 
     def __init__(self, chain, vertices, block_size=None):
@@ -25,29 +25,25 @@ class PathDS:
         if block_size is None:
             n = max(2, sum(len(vertices[v].tiling) for v in chain))
             block_size = max(1, math.ceil(math.log2(n)))
+        self.vertices = vertices
         self.order = list(chain)
         self.pos = {v: i for i, v in enumerate(chain)}
         self.block_size = block_size
         self.blocks = []
-        # Rect ids need only be unique within one vertex's tiling, so each
-        # block renumbers its rects; owners[b][i] is (vertex, rect id).
-        self.owners = []
         self.stored_entries = 0
         for b0 in range(0, len(self.order), block_size):
-            rects, owner = [], []
-            for v in self.order[b0:b0 + block_size]:
-                for r in vertices[v].tiling.rects:
-                    rects.append(Rect(len(owner), r.xlo, r.xhi, r.ylo, r.yhi))
-                    owner.append((v, r.id))
-            s = Stab2D(rects)
+            # Rect ids need only be unique within one vertex's tiling, so a
+            # hit names its vertex too.
+            s = Stab2D((r, (v, r.id)) for v in self.order[b0:b0 + block_size]
+                       for r in vertices[v].tiling.rects)
             self.blocks.append(s)
-            self.owners.append(owner)
             self.stored_entries += s.stored_entries
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         try:
             idxs = [self.pos[v] for v in q.path]
         except KeyError as e:
+            check_vertices(self.vertices, q.path)
             raise VertexNotOnPath(f"vertex {e.args[0]} not on the catalog path")
         lo, hi = min(idxs), max(idxs)
         if hi - lo + 1 != len(q.path):
@@ -62,9 +58,7 @@ class PathDS:
             # outside it is in no rect.
             if not hits:
                 raise PointOutsideBBox(f"{q.q} outside the catalog bbox")
-            owner = self.owners[b]
-            for i in hits:
-                v, rid = owner[i]
+            for v, rid in hits:
                 if v in wanted:
                     out[v] = rid
         return QueryAnswer(out)

@@ -2,9 +2,10 @@
 
 Each vertex gets a coarse cutting with ~r² conflicts per cell; every simple
 tree path of at most L = ceil(log2 r) vertices gets one 2D stabbing structure
-over its members' cutting cells (built lazily on first use).  A query path is
-chopped into such chunks, each answered by one stab plus one small
-conflict-list point location per vertex.
+over its members' cutting cells (built lazily on first use), each cell stored
+with its vertex, cutting and cell index as payload.  A query path is chopped
+into such chunks, each answered by one stab plus one small conflict-list
+point location per reported cell.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 
 from ..cutting import cutting_build
 from ..errors import PointOutsideBBox
-from ..geometry import Rect
 from ..stabbing import Stab2D
 from .model import CatalogTree, PathQuery, QueryAnswer, check_path
 
@@ -22,43 +22,40 @@ from .model import CatalogTree, PathQuery, QueryAnswer, check_path
 class ChunkedStabDS:
     """The chunked-stab engine shared by ShortTreeDS and GraphDS.
 
-    Every vertex's cutting cells get catalog-wide ids (``cell_owner`` maps
-    one to its answer key, its vertex's cutting and its local cell index),
-    and each chunk of at most L consecutive path vertices is answered by one
-    Stab2D over the chunk's cells, built on first use and cached under the
-    chunk's canonical key.  Subclasses build the cuttings and check the path;
-    a vertex given no cutting owns no cells and gets no answer.
+    Each cutting cell is stored with the payload (answer key, cutting, cell
+    index), and each chunk of at most L consecutive path vertices is answered
+    by one Stab2D over the chunk's cells, built on first use and cached under
+    the chunk's canonical key.  Subclasses build the cuttings and check the
+    path; a vertex given no cutting owns no cells and gets no answer, and a
+    chunk of such vertices is skipped.
     """
 
-    __slots__ = ("r", "L", "cuttings", "cell_rects", "cell_owner", "_stabs",
-                 "stored_entries")
+    __slots__ = ("r", "L", "cuttings", "cells", "_stabs", "stored_entries")
 
     def _init_engine(self, n):
         logn = math.log2(max(2, n))
         self.r = 2 ** math.ceil(math.sqrt(logn))
         self.L = max(1, math.ceil(math.log2(self.r)))
         self.cuttings = {}
-        self.cell_rects = {}  # vertex -> cells re-idd with global cell ids
-        self.cell_owner = []  # global cell id -> (answer key, cutting, local index)
+        self.cells = {}  # vertex -> [(cell, (answer key, cutting, cell index))]
         self._stabs = {}
         self.stored_entries = 0
 
     def _add_cutting(self, vid, cut, key):
         """Add vertex ``vid``'s cutting; its answers are stored under ``key``."""
         self.cuttings[vid] = cut
-        gid = len(self.cell_owner)
-        rects = []
-        for i, cell in enumerate(cut.cells.rects):
-            rects.append(Rect(gid + i, cell.xlo, cell.xhi, cell.ylo, cell.yhi))
-            self.cell_owner.append((key, cut, i))
-        self.cell_rects[vid] = rects
+        self.cells[vid] = [(cell, (key, cut, i))
+                           for i, cell in enumerate(cut.cells.rects)]
         self.stored_entries += sum(len(c) for c in cut.conflicts)
 
-    def _stab_for(self, key) -> Stab2D:
+    def _stab_for(self, key) -> Stab2D | None:
+        """The Stab2D over chunk ``key``'s cells, or None if it has none."""
         s = self._stabs.get(key)
         if s is None:
-            s = Stab2D([r for v in key for r in self.cell_rects[v]])
-            self._stabs[key] = s
+            items = [it for v in key for it in self.cells.get(v, ())]
+            if not items:
+                return None
+            s = self._stabs[key] = Stab2D(items)
             self.stored_entries += s.stored_entries
         return s
 
@@ -66,16 +63,17 @@ class ChunkedStabDS:
         """Answer key -> id of the rect containing point ``q``, for every
         vertex of ``path`` that owns cells; the caller has checked that
         consecutive vertices are adjacent."""
-        L, owner = self.L, self.cell_owner
+        L = self.L
         out = {}
         for i in range(0, len(path), L):
             chunk = tuple(path[i:i + L])
-            key = chunk if chunk <= chunk[::-1] else chunk[::-1]
-            hits = self._stab_for(key).query(q, counters)
+            s = self._stab_for(chunk if chunk <= chunk[::-1] else chunk[::-1])
+            if s is None:
+                continue
+            hits = s.query(q, counters)
             if counters is not None:
                 counters.structures_queried += 1
-            for gid in hits:
-                k, cut, ci = owner[gid]
+            for k, cut, ci in hits:
                 out[k] = cut.conflict_index(ci).locate(q, counters)
                 if counters is not None:
                     counters.cells_located += 1

@@ -4,13 +4,13 @@ Shares nothing with the indexed structures beyond rect containment, so a bug
 in any fast path cannot leak into the reference answers.
 """
 
-from .catalog.model import QueryAnswer
+from .catalog.model import QueryAnswer, check_vertices
 from .geometry import tiling_locate_naive
 
 
 def oracle_query(catalog, q, vertices) -> QueryAnswer:
-    out = {}
-    for vid in vertices:
-        catalog.check_vertex(vid)
-        out[vid] = tiling_locate_naive(catalog.vertices[vid].tiling, q)
-    return QueryAnswer(out)
+    # Every vertex is checked before any is located, so an unknown vertex
+    # raises UnknownVertex even for a point outside the bbox.
+    check_vertices(catalog.vertices, vertices)
+    return QueryAnswer({vid: tiling_locate_naive(catalog.vertices[vid].tiling, q)
+                        for vid in vertices})

@@ -155,19 +155,22 @@ def random_segments(bbox, count, rng: random.Random, max_tries=10000):
     return out
 
 
-def stab_oracle_2d(rects, p):
-    """Linear-scan containment set."""
-    return {r.id for r in rects if r.xlo <= p.x < r.xhi and r.ylo <= p.y < r.yhi}
+def stab_oracle_2d(items, p):
+    """Linear scan: the payload of every (rect, payload) item whose rect
+    contains p, once per item."""
+    return [pl for r, pl in items if r.xlo <= p.x < r.xhi and r.ylo <= p.y < r.yhi]
 
 
-def stab_oracle_3d(rects, p):
-    return {
-        r.id
-        for r in rects
+def stab_oracle_3d(items, p, z):
+    """Linear scan: the payload of every (rect, zlo, zhi, payload) item whose
+    box contains (p.x, p.y, z), once per item."""
+    return [
+        pl
+        for r, zlo, zhi, pl in items
         if r.xlo <= p.x < r.xhi
         and r.ylo <= p.y < r.yhi
-        and r.zlo <= p.z < r.zhi
-    }
+        and zlo <= z < zhi
+    ]
 
 
 def bbox_of(side):

@@ -139,3 +139,27 @@ def test_only_designated_copies_are_indexed():
         ans = ds.query(q)
         assert None not in ans.by_vertex
         assert ans == oracle_query(g, q.q, sorted(vs))
+
+
+def test_chunks_without_cells_are_skipped():
+    """A chunk of the walk holding only copies that own no cells gets no
+    stab: none is built, cached, queried or counted for it."""
+    rng = random.Random(11)
+    g = random_graph_catalog(20, 80, 3, rng)
+    ds = GraphDS(g, rng)
+    vids = list(g.vertices)
+    skipped = 0
+    for _ in range(40):
+        vs = {rng.choice(vids)}
+        while len(vs) < 6:
+            vs.add(rng.choice([w for v in vs for w in g.vertices[v].adjacency]))
+        q = SubgraphQuery(random_point(g.bbox, rng), frozenset(vs))
+        walk = subgraph_to_walk(g, q, ds.copy_map).path
+        chunks = [walk[i:i + ds.L] for i in range(0, len(walk), ds.L)]
+        owning = sum(any(v in ds.cuttings for v in ch) for ch in chunks)
+        skipped += len(chunks) - owning
+        c = WorkCounters()
+        assert ds.query(q, c) == oracle_query(g, q.q, sorted(vs))
+        assert c.structures_queried == owning
+    assert skipped > 0
+    assert all(s.stored_entries > 0 for s in ds._stabs.values())

@@ -21,7 +21,7 @@ from ofc2d.catalog.model import (
 from ofc2d.catalog.path_ds import build_path_structure
 from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
-from ofc2d.errors import Ofc2dError, PointOutsideBBox
+from ofc2d.errors import Ofc2dError, PointOutsideBBox, UnknownVertex
 from ofc2d.gen import random_path_catalog
 from ofc2d.geometry import Point, Rect, Tiling
 from ofc2d.oracle import oracle_query
@@ -48,15 +48,19 @@ def outcome(fn):
         return type(e)
 
 
-@pytest.mark.parametrize("kind", [*TREE_KINDS, "graph"])
-def test_point_outside_bbox_raises(kind):
+def chain_case(kind):
+    """An 8-vertex chain catalog (a graph for ``graph``) and its structure."""
     rng = random.Random(3)
     cat = random_path_catalog(8, 256, rng)
     if kind == "graph":
         cat = CatalogGraph(dict(cat.vertices), 2)
-        ds = GraphDS(cat, rng)
-    else:
-        ds = TREE_KINDS[kind](cat, rng)
+        return cat, GraphDS(cat, rng)
+    return cat, TREE_KINDS[kind](cat, rng)
+
+
+@pytest.mark.parametrize("kind", [*TREE_KINDS, "graph"])
+def test_point_outside_bbox_raises(kind):
+    cat, ds = chain_case(kind)
     p = Point(cat.bbox.xhi + 5, cat.bbox.ylo)
     path = tuple(range(8))  # the whole chain, root to leaf
     with pytest.raises(PointOutsideBBox):
@@ -65,8 +69,24 @@ def test_point_outside_bbox_raises(kind):
         ds.query(PathQuery(p, path))
 
 
+@pytest.mark.parametrize("kind", [*TREE_KINDS, "graph"])
+def test_unknown_vertex_raises_first(kind):
+    """An unknown vertex raises UnknownVertex before any other fault is
+    seen: a point outside the bbox, a path off the catalog path, or a path
+    that is not root to leaf."""
+    cat, ds = chain_case(kind)
+    bbox = cat.bbox
+    for p in (Point(bbox.xlo, bbox.ylo), Point(bbox.xhi + 5, bbox.ylo)):
+        for path in ((0, 99), (99,)):
+            with pytest.raises(UnknownVertex):
+                oracle_query(cat, p, path)
+            with pytest.raises(UnknownVertex):
+                ds.query(PathQuery(p, path))
+
+
 SIDE = 8
 BBOX = Rect(-1, 0, SIDE, 0, SIDE)
+UNKNOWN = 99  # no drawn catalog has that many vertices
 
 
 @st.composite
@@ -123,6 +143,15 @@ def points(draw, cat):
     return Point(*xy)
 
 
+def with_unknown(draw, path):
+    """``path``, or one time in four ``path`` with UNKNOWN inserted at a
+    drawn position."""
+    if draw(st.integers(0, 3)):
+        return tuple(path)
+    i = draw(st.integers(0, len(path)))
+    return (*path[:i], UNKNOWN, *path[i:])
+
+
 @st.composite
 def tree_cases(draw):
     cat = draw(catalogs(graph=False))
@@ -130,7 +159,7 @@ def tree_cases(draw):
     queries = []
     for _ in range(draw(st.integers(1, 4))):
         path = cat.path_between(draw(vids), draw(vids))
-        queries.append(PathQuery(draw(points(cat)), tuple(path)))
+        queries.append(PathQuery(draw(points(cat)), with_unknown(draw, path)))
     return cat, queries
 
 
@@ -146,10 +175,11 @@ def graph_cases(draw):
                 break
             walk.append(draw(st.sampled_from(nxt)))
         p = draw(points(cat))
+        walk = with_unknown(draw, walk)
         if draw(st.booleans()):
             queries.append(SubgraphQuery(p, frozenset(walk)))
         else:
-            queries.append(PathQuery(p, tuple(walk)))
+            queries.append(PathQuery(p, walk))
     return cat, queries
 
 
@@ -172,9 +202,12 @@ def test_tree_structures_match_oracle(case):
         ds = build(cat, random.Random(0))
         for q in queries:
             if kind == "root-leaf":
-                leaf = cat.path_between(cat.root, q.path[-1])
+                known = [v for v in q.path if v != UNKNOWN] or [cat.root]
+                leaf = cat.path_between(cat.root, known[-1])
                 while cat.children[leaf[-1]]:
                     leaf.append(cat.children[leaf[-1]][0])
+                if UNKNOWN in q.path:
+                    leaf.insert(min(q.path.index(UNKNOWN), len(leaf)), UNKNOWN)
                 q = PathQuery(q.q, tuple(leaf))
             assert agrees(cat, ds, q), (kind, q)
 

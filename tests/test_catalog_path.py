@@ -5,9 +5,9 @@ import pytest
 
 from ofc2d.catalog.long_path import LongPathDS
 from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
-from ofc2d.catalog.path_ds import build_path_structure
+from ofc2d.catalog.path_ds import PathDS, build_path_structure
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import VertexNotOnPath
+from ofc2d.errors import UnknownVertex, VertexNotOnPath
 from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
 from ofc2d.geometry import Rect, Tiling
 from ofc2d.oracle import oracle_query
@@ -61,10 +61,13 @@ def test_vertex_not_on_path():
     cat = random_path_catalog(8, 64, rng)
     ds = build_path_structure(cat)
     p = random_point(cat.bbox, rng)
-    with pytest.raises(VertexNotOnPath):
+    with pytest.raises(UnknownVertex):  # not in the catalog at all
         ds.query(PathQuery(p, (0, 99)))
     with pytest.raises(VertexNotOnPath):
         ds.query(PathQuery(p, (0, 2)))  # not contiguous
+    head = PathDS([0, 1, 2, 3], cat.vertices)
+    with pytest.raises(VertexNotOnPath):  # in the catalog, off this chain
+        head.query(PathQuery(p, (3, 4)))
 
 
 def test_entry_accounting():

@@ -64,7 +64,8 @@ def test_bench_empty_workload_header_only(tmp_path):
     out = tmp_path / "r.csv"
     assert main(["bench", "--instance", str(inst), "--structure", "path",
                  "--seed", "5", "--queries", str(qf), "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as f:
+        rows = list(csv.reader(f))
     assert len(rows) == 1 and rows[0][0] == "query"
 
 
@@ -76,7 +77,8 @@ def test_bench_verify_all_match(tmp_path):
     assert main(["bench", "--instance", str(inst), "--structure", "tree",
                  "--seed", "6", "--count", "25", "--verify",
                  "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open() as f:
+        rows = list(csv.reader(f))
     body = rows[1:-1]
     assert len(body) == 25
     assert all(r[-1] == "True" for r in body)
@@ -92,7 +94,8 @@ def test_bench_reproducible_counters(tmp_path):
         out = tmp_path / name
         main(["bench", "--instance", str(inst), "--structure", "tree",
               "--seed", "7", "--count", "20", "--out", str(out)])
-        rows = list(csv.reader(out.open()))
+        with out.open() as f:
+            rows = list(csv.reader(f))
         # Drop the wall-time column before comparing.
         outs.append([[c for i, c in enumerate(r) if i != 2] for r in rows])
     assert outs[0] == outs[1]

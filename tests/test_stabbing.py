@@ -2,47 +2,49 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofc2d.config import C_STAB2, C_STAB3
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import InvalidFanout
 from ofc2d.geometry import Point, Rect
-from ofc2d.stabbing import Point3, Rect3, Stab2D, Stab3D
+from ofc2d.stabbing import Stab2D, Stab3D
 
 from helpers import stab_oracle_2d, stab_oracle_3d
 
 
 def random_rects(count, rng, span=1000):
+    """(rect, payload) items; payload i for the i-th rect."""
     out = []
     for i in range(count):
         x = rng.randint(0, span - 1)
         y = rng.randint(0, span - 1)
-        out.append(
-            Rect(i, x, x + rng.randint(1, span // 4), y, y + rng.randint(1, span // 4))
-        )
+        r = Rect(i, x, x + rng.randint(1, span // 4), y, y + rng.randint(1, span // 4))
+        out.append((r, i))
     return out
 
 
 def random_boxes(count, rng, span=1000):
+    """(rect, zlo, zhi, payload) items; payload i for the i-th box."""
     out = []
     for i in range(count):
         x, y, z = (rng.randint(0, span - 1) for _ in range(3))
         d = lambda: rng.randint(1, span // 4)
-        out.append(Rect3(i, x, x + d(), y, y + d(), z, z + d()))
+        out.append((Rect(i, x, x + d(), y, y + d()), z, z + d(), i))
     return out
 
 
 def test_stab2d_empty():
     s = Stab2D([])
-    assert s.query(Point(0, 0)) == set()
+    assert s.query(Point(0, 0)) == []
 
 
 def test_stab2d_single():
     r = Rect(7, 0, 10, 0, 10)
-    s = Stab2D([r])
-    assert s.query(Point(5, 5)) == {7}
-    assert s.query(Point(10, 5)) == set()  # half-open high edge
-    assert s.query(Point(0, 0)) == {7}
+    s = Stab2D([(r, 7)])
+    assert s.query(Point(5, 5)) == [7]
+    assert s.query(Point(10, 5)) == []  # half-open high edge
+    assert s.query(Point(0, 0)) == [7]
 
 
 def test_stab2d_random_matches_oracle():
@@ -51,7 +53,7 @@ def test_stab2d_random_matches_oracle():
     s = Stab2D(rects)
     for _ in range(200):
         p = Point(rng.randint(-10, 1300), rng.randint(-10, 1300))
-        assert s.query(p) == stab_oracle_2d(rects, p)
+        assert sorted(s.query(p)) == sorted(stab_oracle_2d(rects, p))
 
 
 def test_stab2d_entry_bound():
@@ -80,13 +82,13 @@ def test_stab3d_rejects_bad_fanout():
 
 def test_stab3d_empty():
     s = Stab3D([], 2)
-    assert s.query(Point3(0, 0, 0)) == set()
+    assert s.query(Point(0, 0), 0) == []
 
 
 def test_stab3d_unit_cube():
-    s = Stab3D([Rect3(9, 0, 2, 0, 2, 0, 2)], 4)
-    assert s.query(Point3(1, 1, 1)) == {9}
-    assert s.query(Point3(1, 1, 2)) == set()
+    s = Stab3D([(Rect(9, 0, 2, 0, 2), 0, 2, 9)], 4)
+    assert s.query(Point(1, 1), 1) == [9]
+    assert s.query(Point(1, 1), 2) == []
 
 
 @pytest.mark.parametrize("H", [2, 3, 8])
@@ -95,8 +97,9 @@ def test_stab3d_random_matches_oracle(H):
     boxes = random_boxes(500, rng)
     s = Stab3D(boxes, H)
     for _ in range(100):
-        p = Point3(*(rng.randint(-10, 1300) for _ in range(3)))
-        assert s.query(p) == stab_oracle_3d(boxes, p)
+        x, y, z = (rng.randint(-10, 1300) for _ in range(3))
+        p = Point(x, y)
+        assert sorted(s.query(p, z)) == sorted(stab_oracle_3d(boxes, p, z))
 
 
 def test_stab3d_fanout_law():
@@ -107,7 +110,7 @@ def test_stab3d_fanout_law():
         limit = math.ceil(math.log(s.m, H)) + 1
         for _ in range(200):
             z = rng.randint(0, 1300)
-            assert s.z_path_length(z) <= limit
+            assert len(s.z_path(z)) <= limit
 
 
 def test_stab3d_entry_bound():
@@ -117,3 +120,47 @@ def test_stab3d_entry_bound():
     s = Stab3D(boxes, H)
     logn = math.ceil(math.log2(n))
     assert s.stored_entries <= C_STAB3 * n * H * max(1, logn / math.log2(H)) * logn
+
+
+SPAN = 8
+
+
+@st.composite
+def rects(draw):
+    x = draw(st.integers(0, SPAN - 1))
+    y = draw(st.integers(0, SPAN - 1))
+    return Rect(0, x, draw(st.integers(x + 1, SPAN)), y, draw(st.integers(y + 1, SPAN)))
+
+
+@st.composite
+def items_2d(draw):
+    """(rect, payload) items over a small grid; some items are repeated
+    outright and payloads come from a small pool, so both repeat."""
+    items = draw(st.lists(st.tuples(rects(), st.integers(0, 3)), max_size=12))
+    return items + draw(st.lists(st.sampled_from(items), max_size=4)) if items else items
+
+
+@st.composite
+def items_3d(draw):
+    items = []
+    for rect, payload in draw(items_2d()):
+        zlo = draw(st.integers(0, SPAN - 1))
+        items.append((rect, zlo, draw(st.integers(zlo + 1, SPAN)), payload))
+    return items + draw(st.lists(st.sampled_from(items), max_size=4)) if items else items
+
+
+coords = st.integers(-1, SPAN)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(items_2d(), coords, coords)
+def test_stab2d_reports_each_payload_once_per_box(items, x, y):
+    p = Point(x, y)
+    assert sorted(Stab2D(items).query(p)) == sorted(stab_oracle_2d(items, p))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(items_3d(), st.integers(2, 5), coords, coords, coords)
+def test_stab3d_reports_each_payload_once_per_box(items, H, x, y, z):
+    p = Point(x, y)
+    assert sorted(Stab3D(items, H).query(p, z)) == sorted(stab_oracle_3d(items, p, z))
