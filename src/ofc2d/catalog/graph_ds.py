@@ -53,6 +53,8 @@ def subgraph_to_walk(g: CatalogGraph, query: SubgraphQuery, copy_map) -> PathQue
     simple path in the expanded graph via one fresh copy per revisit."""
     vs = set(query.vertex_set)
     check_vertices(g.vertices, vs)
+    if not vs:
+        return PathQuery(query.q, ())
     start = min(vs)
     seen = {start}
     tree_kids = {v: [] for v in vs}

@@ -202,6 +202,8 @@ class MidTreeDS:
         t = self.tree
         path = q.path
         check_path(t, path)
+        if not path:
+            return QueryAnswer({})
         k = min(range(len(path)), key=lambda i: t.depth[path[i]])
         halves = [list(reversed(path[: k + 1])), list(path[k + 1:])]
         out = {}

@@ -45,6 +45,8 @@ class PathDS:
         except KeyError as e:
             check_vertices(self.vertices, q.path)
             raise VertexNotOnPath(f"vertex {e.args[0]} not on the catalog path")
+        if not idxs:
+            return QueryAnswer({})
         lo, hi = min(idxs), max(idxs)
         if hi - lo + 1 != len(q.path):
             raise VertexNotOnPath("query path is not contiguous on the catalog path")

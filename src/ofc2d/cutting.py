@@ -158,22 +158,13 @@ def _split_overfull(cells_conf, budget, source_rects):
 
 
 class ConflictIndex:
-    """Point location over one cell's conflict rects (clipped to the cell)."""
+    """Point location over one cell's conflict rects, which may stick out of
+    the cell; a point of the cell locates the conflict rect containing it."""
 
     __slots__ = ("index",)
 
     def __init__(self, cell: Rect, conflict_rects):
-        clipped = [
-            Rect(
-                r.id,
-                max(r.xlo, cell.xlo),
-                min(r.xhi, cell.xhi),
-                max(r.ylo, cell.ylo),
-                min(r.yhi, cell.yhi),
-            )
-            for r in conflict_rects
-        ]
-        self.index = SlabIndex(cell, clipped)
+        self.index = SlabIndex(cell, conflict_rects)
 
     def locate(self, p, counters=None) -> int:
         return self.index.locate(p, counters).id

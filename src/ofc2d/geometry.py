@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import OutOfBounds, OverlappingSegments, PointOutsideBBox
 
@@ -124,33 +125,35 @@ class SlabIndex:
     """Sorted-slab point location over disjoint rects.
 
     Binary search over x slabs, then over the slab's rects sorted by ylo:
-    O(log n) comparisons per query.
+    O(log n) comparisons per query.  Each rect must meet ``bbox`` but may
+    stick out of it; it is indexed as its part inside the bbox, the same as
+    a copy clipped to the bbox would be, without building that copy.
     """
 
     __slots__ = ("bbox", "xs", "slab_ylos", "slab_rects", "entries")
 
     def __init__(self, bbox: Rect, rects):
         self.bbox = bbox
-        xs = {bbox.xlo, bbox.xhi}
-        for r in rects:
-            xs.add(r.xlo)
-            xs.add(r.xhi)
-        self.xs = sorted(xs)
-        nslab = len(self.xs) - 1
-        buckets = [[] for _ in range(nslab)]
-        for r in rects:
-            i0 = bisect.bisect_left(self.xs, r.xlo)
-            i1 = bisect.bisect_left(self.xs, r.xhi)
-            for i in range(i0, i1):
-                buckets[i].append((r.ylo, r))
-        self.slab_ylos = []
-        self.slab_rects = []
-        self.entries = 0
-        for b in buckets:
-            b.sort(key=lambda t: t[0])
-            self.slab_ylos.append([t[0] for t in b])
-            self.slab_rects.append([t[1] for t in b])
-            self.entries += len(b)
+        xlo, xhi = bbox.xlo, bbox.xhi
+        xs = {x for r in rects for x in (r.xlo, r.xhi) if xlo < x < xhi}
+        xs.add(xlo)
+        xs.add(xhi)
+        self.xs = xs = sorted(xs)
+        nslab = len(xs) - 1
+        # An x edge missing from ``xs`` lies outside the bbox, so the slab
+        # range of a rect sticking out is clamped to the first or last slab.
+        slab_of = {x: i for i, x in enumerate(xs)}
+        # Filling the slabs in ylo order leaves every slab sorted: disjoint
+        # rects meeting one slab have distinct ylos.  A rect starting below
+        # the bbox comes first in its slabs, and its ylo, like its clipped
+        # one, is at most the y of any point ``locate`` searches for.
+        slab_rects = [[] for _ in range(nslab)]
+        for r in sorted(rects, key=attrgetter("ylo")):
+            for i in range(slab_of.get(r.xlo, 0), slab_of.get(r.xhi, nslab)):
+                slab_rects[i].append(r)
+        self.slab_rects = slab_rects
+        self.slab_ylos = [[r.ylo for r in b] for b in slab_rects]
+        self.entries = sum(map(len, slab_rects))
 
     def locate(self, p: Point, counters=None) -> Rect:
         if not self.bbox.contains(p):

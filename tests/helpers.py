@@ -7,7 +7,9 @@ own reference.
 
 import random
 
-from ofc2d.geometry import HORIZONTAL, VERTICAL, Rect, Segment
+from hypothesis import strategies as st
+
+from ofc2d.geometry import HORIZONTAL, VERTICAL, Rect, Segment, SlabIndex, Tiling
 
 
 def _ray_stop_up(x, y, horiz, vert, yhi):
@@ -175,3 +177,42 @@ def stab_oracle_3d(items, p, z):
 
 def bbox_of(side):
     return Rect(-1, 0, side, 0, side)
+
+
+def clipped_slab_index(cell, rects):
+    """The SlabIndex a cell's conflict rects got when they were clipped first:
+    copies of ``rects`` clipped to ``cell``, put in every x slab they cover
+    by a scan, and each slab sorted on its own.  Only the fields are built
+    here; ``locate`` is the library's."""
+    clipped = [Rect(r.id, max(r.xlo, cell.xlo), min(r.xhi, cell.xhi),
+                    max(r.ylo, cell.ylo), min(r.yhi, cell.yhi)) for r in rects]
+    xs = sorted({cell.xlo, cell.xhi} | {x for r in clipped for x in (r.xlo, r.xhi)})
+    slabs = [sorted((r for r in clipped if r.xlo <= a and b <= r.xhi),
+                    key=lambda r: r.ylo)
+             for a, b in zip(xs, xs[1:])]
+    idx = SlabIndex.__new__(SlabIndex)
+    idx.bbox = cell
+    idx.xs = xs
+    idx.slab_rects = slabs
+    idx.slab_ylos = [[r.ylo for r in slab] for slab in slabs]
+    idx.entries = sum(len(slab) for slab in slabs)
+    return idx
+
+
+@st.composite
+def guillotine_tilings(draw, bbox, max_cuts, start_id=0):
+    """Tiling of ``bbox`` made by up to ``max_cuts`` guillotine cuts, its
+    rects numbered from ``start_id``."""
+    cells = [(bbox.xlo, bbox.xhi, bbox.ylo, bbox.yhi)]
+    for _ in range(draw(st.integers(0, max_cuts))):
+        i = draw(st.integers(0, len(cells) - 1))
+        xlo, xhi, ylo, yhi = cells[i]
+        if draw(st.booleans()):
+            c = draw(st.integers(xlo + 1, xhi - 1)) if xhi - xlo > 1 else None
+            parts = [(xlo, c, ylo, yhi), (c, xhi, ylo, yhi)]
+        else:
+            c = draw(st.integers(ylo + 1, yhi - 1)) if yhi - ylo > 1 else None
+            parts = [(xlo, xhi, ylo, c), (xlo, xhi, c, yhi)]
+        if c is not None:
+            cells[i:i + 1] = parts
+    return Tiling(bbox, [Rect(start_id + j, *c) for j, c in enumerate(cells)])

@@ -15,16 +15,19 @@ from ofc2d.catalog.model import (
     CatalogTree,
     CatalogVertex,
     PathQuery,
+    QueryAnswer,
     SubgraphQuery,
     regime_heights,
 )
 from ofc2d.catalog.path_ds import build_path_structure
 from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
-from ofc2d.errors import Ofc2dError, PointOutsideBBox, UnknownVertex
+from ofc2d.errors import NotRootToLeaf, Ofc2dError, PointOutsideBBox, UnknownVertex
 from ofc2d.gen import random_path_catalog
-from ofc2d.geometry import Point, Rect, Tiling
+from ofc2d.geometry import Point, Rect
 from ofc2d.oracle import oracle_query
+
+from helpers import guillotine_tilings
 
 TREE_KINDS = {
     "tree": lambda cat, rng: TreeDS(cat, rng=rng),
@@ -84,27 +87,27 @@ def test_unknown_vertex_raises_first(kind):
                 ds.query(PathQuery(p, path))
 
 
+@pytest.mark.parametrize("kind", [*TREE_KINDS, "graph"])
+def test_empty_query_answers_empty(kind):
+    """An empty path (or, on the graph, an empty vertex set) is answered
+    with no vertices, as the oracle answers it, even for a point outside the
+    bbox; root-leaf raises its typed error for any path not root to leaf."""
+    cat, ds = chain_case(kind)
+    bbox = cat.bbox
+    for p in (Point(bbox.xlo, bbox.ylo), Point(bbox.xhi + 5, bbox.ylo)):
+        assert oracle_query(cat, p, ()) == QueryAnswer({})
+        if kind == "root-leaf":
+            with pytest.raises(NotRootToLeaf):
+                ds.query(PathQuery(p, ()))
+            continue
+        assert ds.query(PathQuery(p, ())) == QueryAnswer({})
+        if kind == "graph":
+            assert ds.query(SubgraphQuery(p, frozenset())) == QueryAnswer({})
+
+
 SIDE = 8
 BBOX = Rect(-1, 0, SIDE, 0, SIDE)
 UNKNOWN = 99  # no drawn catalog has that many vertices
-
-
-@st.composite
-def tilings(draw, start_id):
-    """Guillotine tiling of BBOX with 1-6 rects numbered from ``start_id``."""
-    cells = [(0, SIDE, 0, SIDE)]
-    for _ in range(draw(st.integers(0, 5))):
-        i = draw(st.integers(0, len(cells) - 1))
-        xlo, xhi, ylo, yhi = cells[i]
-        if draw(st.booleans()):
-            c = draw(st.integers(xlo + 1, xhi - 1)) if xhi - xlo > 1 else None
-            parts = [(xlo, c, ylo, yhi), (c, xhi, ylo, yhi)]
-        else:
-            c = draw(st.integers(ylo + 1, yhi - 1)) if yhi - ylo > 1 else None
-            parts = [(xlo, xhi, ylo, c), (xlo, xhi, c, yhi)]
-        if c is not None:
-            cells[i:i + 1] = parts
-    return Tiling(BBOX, [Rect(start_id + j, *c) for j, c in enumerate(cells)])
 
 
 @st.composite
@@ -126,7 +129,8 @@ def catalogs(draw, graph):
                 adj[u].add(v)
                 adj[v].add(u)
     reuse = draw(st.booleans())
-    vertices = {v: CatalogVertex(v, draw(tilings(0 if reuse else 10 * v)),
+    vertices = {v: CatalogVertex(v, draw(guillotine_tilings(BBOX, 5,
+                                                            0 if reuse else 10 * v)),
                                  tuple(sorted(adj[v])))
                 for v in range(n)}
     return CatalogGraph(vertices, 3) if graph else CatalogTree(vertices, 0)
@@ -158,7 +162,8 @@ def tree_cases(draw):
     vids = st.sampled_from(sorted(cat.vertices))
     queries = []
     for _ in range(draw(st.integers(1, 4))):
-        path = cat.path_between(draw(vids), draw(vids))
+        empty = not draw(st.integers(0, 7))  # one path in eight
+        path = () if empty else cat.path_between(draw(vids), draw(vids))
         queries.append(PathQuery(draw(points(cat)), with_unknown(draw, path)))
     return cat, queries
 
@@ -168,12 +173,14 @@ def graph_cases(draw):
     cat = draw(catalogs(graph=True))
     queries = []
     for _ in range(draw(st.integers(1, 4))):
-        walk = [draw(st.sampled_from(sorted(cat.vertices)))]
-        for _ in range(draw(st.integers(0, 5))):
-            nxt = sorted(set(cat.vertices[walk[-1]].adjacency) - set(walk))
-            if not nxt:
-                break
-            walk.append(draw(st.sampled_from(nxt)))
+        walk = []
+        if draw(st.integers(0, 7)):  # one walk in eight is empty
+            walk.append(draw(st.sampled_from(sorted(cat.vertices))))
+            for _ in range(draw(st.integers(0, 5))):
+                nxt = sorted(set(cat.vertices[walk[-1]].adjacency) - set(walk))
+                if not nxt:
+                    break
+                walk.append(draw(st.sampled_from(nxt)))
         p = draw(points(cat))
         walk = with_unknown(draw, walk)
         if draw(st.booleans()):

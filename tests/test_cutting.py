@@ -1,13 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofc2d.config import C_CONF, C_CUT
 from ofc2d.counters import WorkCounters
-from ofc2d.cutting import Cutting, cutting_build, cutting_locate, verify_cutting
+from ofc2d.cutting import (
+    ConflictIndex,
+    Cutting,
+    cutting_build,
+    cutting_locate,
+    verify_cutting,
+)
 from ofc2d.errors import InvalidParameter, PointOutsideBBox
 from ofc2d.gen import random_tiling
 from ofc2d.geometry import Point, Rect, Tiling
+
+from helpers import bbox_of, clipped_slab_index, guillotine_tilings
 
 
 def make_source(n, seed, side=None):
@@ -97,6 +106,56 @@ def test_conflict_index_locates_source_rect():
         rid = c.conflict_index(ci).locate(p, w)
         assert rid == next(r.id for r in src.rects if r.contains(p))
         assert w.pl_comparisons > 0
+        ref = clipped_slab_index(c.cells.rects[ci], c.conflict_rects(ci))
+        assert c.conflict_index(ci).index.entries == ref.entries
+
+
+def slab_ids(index):
+    return [[r.id for r in slab] for slab in index.slab_rects]
+
+
+def locate_outcome(index, p):
+    w = WorkCounters()
+    try:
+        rid = index.locate(p, w).id
+    except PointOutsideBBox:
+        rid = PointOutsideBBox
+    return rid, w.pl_comparisons
+
+
+@st.composite
+def conflict_cases(draw):
+    """A guillotine tiling, a cell anywhere inside its bbox and the tiling
+    rects meeting the cell in any order, one of them dropped one time in
+    four."""
+    tiling = draw(guillotine_tilings(bbox_of(16), 10))
+    xlo, xhi = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2,
+                                    unique=True)))
+    ylo, yhi = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2,
+                                    unique=True)))
+    cell = Rect(-1, xlo, xhi, ylo, yhi)
+    rects = draw(st.permutations([r for r in tiling.rects if r.intersects(cell)]))
+    if not draw(st.integers(0, 3)):
+        del rects[draw(st.integers(0, len(rects) - 1))]
+    return cell, rects
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conflict_cases())
+def test_conflict_index_matches_clipped_reference(case):
+    """Indexing the unclipped conflict rects gives the same slabs, entries,
+    answers and comparison counts as indexing copies clipped to the cell,
+    on every point of the cell and one unit around it."""
+    cell, rects = case
+    index = ConflictIndex(cell, rects).index
+    ref = clipped_slab_index(cell, rects)
+    assert index.xs == ref.xs
+    assert slab_ids(index) == slab_ids(ref)
+    assert index.entries == ref.entries
+    for x in range(cell.xlo - 1, cell.xhi + 1):
+        for y in range(cell.ylo - 1, cell.yhi + 1):
+            p = Point(x, y)
+            assert locate_outcome(index, p) == locate_outcome(ref, p), p
 
 
 def test_counters_logarithmic_in_cells():
