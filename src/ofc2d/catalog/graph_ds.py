@@ -3,11 +3,12 @@
 Path queries work directly on the graph with the short-path chunking scheme
 (per-vertex cuttings plus one stabbing structure per chunk of at most L
 consecutive path vertices, built lazily).  Subgraph queries are reduced to
-path queries: every vertex is expanded into 2d mutually-adjacent copies, and
-a DFS walk of the query subgraph's spanning tree becomes a simple path over
-distinct copies.  Only each vertex's designated copy 0 is cut and indexed, so
-only it contributes an answer; the other copies own no cells and only carry
-the walk.
+path queries: every vertex stands for 2d mutually-adjacent copies (numbered
+by ``copy_ids``), and a DFS walk of a spanning tree of the query's vertex
+set becomes a simple path over distinct copies.  Only each vertex's
+designated copy 0 is cut and indexed, so only it contributes an answer; the
+other copies own no cells and only carry the walk.  The expanded copy graph
+itself (``graph_to_path_catalog``) is never built by a query structure.
 """
 
 from __future__ import annotations
@@ -29,69 +30,70 @@ from .model import (
 from .short_tree import ChunkedStabDS
 
 
+def copy_ids(g: CatalogGraph) -> dict:
+    """Vertex -> the ids of its 2d copies, numbered consecutively in vertex
+    id order; copy 0 is the designated one."""
+    k = 2 * max(2, g.degree)
+    return {v: range(k * i, k * i + k) for i, v in enumerate(sorted(g.vertices))}
+
+
 def graph_to_path_catalog(g: CatalogGraph):
-    """Expand every vertex into 2d copies: copies of one vertex form a
-    clique, copies of adjacent vertices are all adjacent, and every copy
-    shares its vertex's tiling (copy 0 is the designated one)."""
+    """Expand every vertex into its ``copy_ids`` copies: copies of one vertex
+    form a clique, copies of adjacent vertices are all adjacent, and every
+    copy shares its vertex's tiling."""
     d = max(2, g.degree)
-    ids = sorted(g.vertices)
-    base = {v: 2 * d * i for i, v in enumerate(ids)}
-    copy_map = {v: [base[v] + j for j in range(2 * d)] for v in ids}
+    copy_map = copy_ids(g)
     vertices = {}
-    for v in ids:
-        adj_own = copy_map[v]
-        adj_other = [c for u in g.vertices[v].adjacency for c in copy_map[u]]
-        for cid in adj_own:
-            adjacency = tuple(c for c in adj_own if c != cid) + tuple(adj_other)
+    for v, own in copy_map.items():
+        adj_other = tuple(c for u in g.vertices[v].adjacency for c in copy_map[u])
+        for cid in own:
+            adjacency = tuple(c for c in own if c != cid) + adj_other
             vertices[cid] = CatalogVertex(cid, g.vertices[v].tiling, adjacency)
     g2 = CatalogGraph(vertices, degree=(2 * d - 1) + 2 * d * d)
     return g2, copy_map
 
 
 def subgraph_to_walk(g: CatalogGraph, query: SubgraphQuery, copy_map) -> PathQuery:
-    """DFS walk of a spanning tree of the query's vertex set, lifted to a
-    simple path in the expanded graph via one fresh copy per revisit."""
-    vs = set(query.vertex_set)
+    """The DFS walk of a spanning tree of the query's vertex set, from its
+    least vertex and taking neighbours in adjacency order, lifted to a simple
+    path over copies: each visit of a vertex uses its next unused copy, so
+    the first visit uses copy 0.  A vertex is visited once more after each of
+    its tree children, at most d + 1 < 2d times in all."""
+    vs = query.vertex_set
     check_vertices(g.vertices, vs)
     if not vs:
         return PathQuery(query.q, ())
     start = min(vs)
-    seen = {start}
-    tree_kids = {v: [] for v in vs}
-    stack = [start]
+    used = {start: 1}  # vertex -> copies of it in the path so far
+    path = [copy_map[start][0]]
+    stack = [(start, iter(g.vertices[start].adjacency))]
     while stack:
-        u = stack.pop()
-        for w in g.vertices[u].adjacency:
-            if w in vs and w not in seen:
-                seen.add(w)
-                tree_kids[u].append(w)
-                stack.append(w)
-    if seen != vs:
-        raise DisconnectedSubgraph(f"{sorted(vs - seen)} unreachable")
-    walk = []
-    def visit(u):
-        walk.append(u)
-        for w in tree_kids[u]:
-            visit(w)
-            walk.append(u)
-    visit(start)
-    used = {v: 0 for v in vs}
-    path = []
-    for v in walk:
-        path.append(copy_map[v][used[v]])
-        used[v] += 1
+        for w in stack[-1][1]:
+            if w in vs and w not in used:
+                used[w] = 1
+                path.append(copy_map[w][0])
+                stack.append((w, iter(g.vertices[w].adjacency)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                path.append(copy_map[u][used[u]])
+                used[u] += 1
+    if len(used) != len(vs):
+        raise DisconnectedSubgraph(f"{sorted(vs - used.keys())} unreachable")
     return PathQuery(query.q, tuple(path))
 
 
 class GraphDS(ChunkedStabDS):
-    __slots__ = ("g", "expanded", "copy_map")
+    __slots__ = ("g", "copy_map")
 
     def __init__(self, g: CatalogGraph, rng: random.Random | None = None):
         if rng is None:
             rng = random.Random(0)
         d = max(2, g.degree)
         self.g = g
-        self.expanded, self.copy_map = graph_to_path_catalog(g)
+        self.copy_map = copy_ids(g)
         self._init_engine(g.n)
         # Cutting conflict budget r^(2 log d) per the generalized scheme; at
         # desk scale this usually degrades to one cell per vertex.

@@ -25,9 +25,11 @@ class ChunkedStabDS:
     Each cutting cell is stored with the payload (answer key, cutting, cell
     index), and each chunk of at most L consecutive path vertices is answered
     by one Stab2D over the chunk's cells, built on first use and cached under
-    the chunk's canonical key.  Subclasses build the cuttings and check the
-    path; a vertex given no cutting owns no cells and gets no answer, and a
-    chunk of such vertices is skipped.
+    the sorted tuple of the chunk's vertices that own cells, so chunks that
+    differ only in order or in vertices without cells share one stab.
+    Subclasses build the cuttings and check the path; a vertex given no
+    cutting owns no cells and gets no answer, and a chunk of such vertices is
+    skipped.
     """
 
     __slots__ = ("r", "L", "cuttings", "cells", "_stabs", "stored_entries")
@@ -48,28 +50,21 @@ class ChunkedStabDS:
                            for i, cell in enumerate(cut.cells.rects)]
         self.stored_entries += sum(len(c) for c in cut.conflicts)
 
-    def _stab_for(self, key) -> Stab2D | None:
-        """The Stab2D over chunk ``key``'s cells, or None if it has none."""
-        s = self._stabs.get(key)
-        if s is None:
-            items = [it for v in key for it in self.cells.get(v, ())]
-            if not items:
-                return None
-            s = self._stabs[key] = Stab2D(items)
-            self.stored_entries += s.stored_entries
-        return s
-
     def _locate_chunks(self, q, path, counters) -> dict:
         """Answer key -> id of the rect containing point ``q``, for every
         vertex of ``path`` that owns cells; the caller has checked that
         consecutive vertices are adjacent."""
         L = self.L
+        cells = self.cells
         out = {}
         for i in range(0, len(path), L):
-            chunk = tuple(path[i:i + L])
-            s = self._stab_for(chunk if chunk <= chunk[::-1] else chunk[::-1])
-            if s is None:
+            key = tuple(sorted(v for v in path[i:i + L] if v in cells))
+            if not key:
                 continue
+            s = self._stabs.get(key)
+            if s is None:
+                s = self._stabs[key] = Stab2D([it for v in key for it in cells[v]])
+                self.stored_entries += s.stored_entries
             hits = s.query(q, counters)
             if counters is not None:
                 counters.structures_queried += 1

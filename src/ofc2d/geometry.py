@@ -191,11 +191,6 @@ def tiling_locate_naive(t: Tiling, p: Point, counters=None) -> int:
     raise PointOutsideBBox(f"{p} not covered by tiling")
 
 
-def tiling_locate_fast(t: Tiling, p: Point, counters=None) -> int:
-    """Indexed location; same answer as the naive scan in O(log n) comparisons."""
-    return t.index().locate(p, counters).id
-
-
 def validate_tiling(t: Tiling, check_ids=True):
     """Raise ValueError unless ``t`` is an exact disjoint cover of its bbox."""
     bbox = t.bbox

@@ -318,6 +318,8 @@ def test_criterion_8_graph_reduction():
         tree = random_tree_catalog(48, 2 ** 10, 10, rng)
         g = CatalogGraph(dict(tree.vertices), degree=3)
         ds = GraphDS(g, rng)
+        expanded, copy_map = graph_to_path_catalog(g)
+        assert ds.copy_map == copy_map
         for _ in range(100):
             root = rng.choice(list(tree.vertices))
             vs = {root}
@@ -332,5 +334,5 @@ def test_criterion_8_graph_reduction():
             assert len(walk.path) <= 2 * len(vs)
             assert len(set(walk.path)) == len(walk.path)
             for a, b in zip(walk.path, walk.path[1:]):
-                assert b in ds.expanded.vertices[a].adjacency
+                assert b in expanded.vertices[a].adjacency
             assert ds.query(q) == oracle_query(g, q.q, sorted(vs))

@@ -163,3 +163,42 @@ def test_chunks_without_cells_are_skipped():
         assert c.structures_queried == owning
     assert skipped > 0
     assert all(s.stored_entries > 0 for s in ds._stabs.values())
+
+
+def test_stab_keys_are_sorted_copies_that_own_cells():
+    """Each chunk's stab is cached under the sorted tuple of its copies that
+    own cells, so chunks differing only in order or in copies without cells
+    share one stab."""
+    rng = random.Random(13)
+    g = random_graph_catalog(20, 80, 3, rng)
+    ds = GraphDS(g, rng)
+    vids = list(g.vertices)
+    owning_sets = set()
+    for _ in range(60):
+        vs = {rng.choice(vids)}
+        while len(vs) < rng.randint(2, 6):
+            vs.add(rng.choice([w for v in vs for w in g.vertices[v].adjacency]))
+        q = SubgraphQuery(random_point(g.bbox, rng), frozenset(vs))
+        walk = subgraph_to_walk(g, q, ds.copy_map).path
+        for i in range(0, len(walk), ds.L):
+            owning = frozenset(v for v in walk[i:i + ds.L] if v in ds.cells)
+            if owning:
+                owning_sets.add(owning)
+        assert ds.query(q) == oracle_query(g, q.q, sorted(vs))
+    for key in ds._stabs:
+        assert key == tuple(sorted(key))
+        assert key and all(v in ds.cells for v in key)
+    assert {frozenset(k) for k in ds._stabs} == owning_sets
+    assert len(ds._stabs) == len(owning_sets)
+
+
+def test_walk_deeper_than_recursion_limit():
+    """A whole 1200-vertex cycle: its spanning tree is a path far deeper than
+    Python's default recursion limit, and the walk still covers it."""
+    k = 1200
+    g, rng = cycle_graph(k, 2, 14)
+    ds = GraphDS(g, rng)
+    q = SubgraphQuery(random_point(g.bbox, rng), frozenset(range(k)))
+    walk = subgraph_to_walk(g, q, ds.copy_map).path
+    assert len(walk) == len(set(walk)) == 2 * k - 1
+    assert ds.query(q) == oracle_query(g, q.q, range(k))

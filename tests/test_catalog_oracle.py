@@ -1,6 +1,7 @@
 """Every catalog structure against the linear-scan oracle: same answers, or
 the same error type, on small random catalogs and on boundary points."""
 
+import gc
 import random
 
 import pytest
@@ -22,8 +23,9 @@ from ofc2d.catalog.model import (
 from ofc2d.catalog.path_ds import build_path_structure
 from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
+from ofc2d.counters import WorkCounters
 from ofc2d.errors import NotRootToLeaf, Ofc2dError, PointOutsideBBox, UnknownVertex
-from ofc2d.gen import random_path_catalog
+from ofc2d.gen import random_path_catalog, random_point
 from ofc2d.geometry import Point, Rect
 from ofc2d.oracle import oracle_query
 
@@ -103,6 +105,31 @@ def test_empty_query_answers_empty(kind):
         assert ds.query(PathQuery(p, ())) == QueryAnswer({})
         if kind == "graph":
             assert ds.query(SubgraphQuery(p, frozenset())) == QueryAnswer({})
+
+
+@pytest.mark.parametrize("kind", [*TREE_KINDS, "graph"])
+def test_warm_queries_leave_no_cyclic_garbage(kind):
+    """Once lazy caches are filled, a query frees everything it made by
+    reference counting: the collector finds nothing after a replay."""
+    cat, ds = chain_case(kind)
+    rng = random.Random(4)
+    queries = []
+    for _ in range(20):
+        i, j = (0, 8) if kind == "root-leaf" else sorted(rng.sample(range(9), 2))
+        q = PathQuery(random_point(cat.bbox, rng), tuple(range(i, j)))
+        queries.append(q)
+        if kind == "graph":
+            queries.append(SubgraphQuery(q.q, frozenset(q.path)))
+    for q in queries:
+        ds.query(q, WorkCounters())
+    gc.collect()
+    gc.disable()
+    try:
+        for q in queries:
+            ds.query(q, WorkCounters())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 SIDE = 8

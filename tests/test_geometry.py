@@ -12,7 +12,6 @@ from ofc2d.geometry import (
     Rect,
     Segment,
     Tiling,
-    tiling_locate_fast,
     tiling_locate_naive,
     trapezoidal_decompose,
     validate_tiling,
@@ -103,14 +102,14 @@ def test_decompose_rejects_out_of_bounds():
 def test_locate_single_rect():
     t = Tiling(BOX, [Rect(42, 0, 16, 0, 16)])
     assert tiling_locate_naive(t, Point(3, 3)) == 42
-    assert tiling_locate_fast(t, Point(3, 3)) == 42
+    assert t.index().locate(Point(3, 3)).id == 42
 
 
 def test_locate_half_open_boundary():
     t = Tiling(BOX, [Rect(0, 0, 5, 0, 16), Rect(1, 5, 16, 0, 16)])
     # A point on the shared edge belongs to the right rect.
     assert tiling_locate_naive(t, Point(5, 8)) == 1
-    assert tiling_locate_fast(t, Point(5, 8)) == 1
+    assert t.index().locate(Point(5, 8)).id == 1
 
 
 def test_locate_outside_raises():
@@ -118,7 +117,7 @@ def test_locate_outside_raises():
     with pytest.raises(PointOutsideBBox):
         tiling_locate_naive(t, Point(16, 0))
     with pytest.raises(PointOutsideBBox):
-        tiling_locate_fast(t, Point(-1, 3))
+        t.index().locate(Point(-1, 3))
 
 
 def test_locate_naive_fast_agree_random():
@@ -128,7 +127,7 @@ def test_locate_naive_fast_agree_random():
     validate_tiling(t)
     for _ in range(100):
         p = Point(rng.randrange(64), rng.randrange(64))
-        assert tiling_locate_naive(t, p) == tiling_locate_fast(t, p)
+        assert tiling_locate_naive(t, p) == t.index().locate(p).id
 
 
 def test_locate_fast_counts_logarithmic():
@@ -138,7 +137,7 @@ def test_locate_fast_counts_logarithmic():
     for _ in range(50):
         p = Point(rng.randrange(256), rng.randrange(256))
         c = WorkCounters()
-        tiling_locate_fast(t, p, c)
+        t.index().locate(p, c)
         assert c.pl_comparisons <= 4 * (512).bit_length()
 
 
