@@ -31,12 +31,11 @@ def f_chain(n, rounds):
     """Cutting-parameter schedule: ceil(log n), log* n, log** n, ... truncated
     at ``rounds`` entries or once the value drops to 3 or below."""
     out = []
-    fns = [math.log2]
+    g = math.log2
     for k in range(rounds):
-        f = math.ceil(math.log2(n)) if k == 0 else _iterated(fns[k - 1], n)
+        f = math.ceil(math.log2(n)) if k == 0 else _iterated(g, n)
         if k > 0:
-            fk = fns[k - 1]
-            fns.append(lambda x, fk=fk: _iterated(fk, x))
+            g = lambda x, g=g: _iterated(g, x)
         if f <= 3:
             break
         out.append(f)
@@ -50,19 +49,16 @@ def layer_hi(n, f):
 
 
 class _Layer:
-    __slots__ = ("f", "cuttings", "mid", "cell_tree", "hi", "cell_count")
+    __slots__ = ("cuttings", "mid", "hi")
 
-    def __init__(self, f, cuttings, mid, cell_tree, hi, cell_count):
-        self.f = f
+    def __init__(self, cuttings, mid, hi):
         self.cuttings = cuttings
         self.mid = mid
-        self.cell_tree = cell_tree
         self.hi = hi
-        self.cell_count = cell_count
 
 
 class BootstrappedDS:
-    __slots__ = ("tree", "rounds", "h1", "h2", "base", "layers", "stored_entries")
+    __slots__ = ("tree", "h1", "h2", "base", "layers", "stored_entries")
 
     def __init__(self, tree: CatalogTree, rounds: int,
                  rng: random.Random | None = None, h1=None, h2=None):
@@ -73,7 +69,6 @@ class BootstrappedDS:
         n = max(2, tree.n)
         d1, d2 = regime_heights(n)
         self.tree = tree
-        self.rounds = rounds
         self.h1 = h1 if h1 is not None else d1
         self.h2 = h2 if h2 is not None else d2
         self.base = MidTreeDS(tree, self.h1, self.h2, rng)
@@ -83,24 +78,22 @@ class BootstrappedDS:
         for f in f_chain(n, rounds):
             cuttings = {}
             vertices = {}
-            cell_count = 0
             for vid, v in prev.vertices.items():
                 mi = len(v.tiling)
                 rho = max(1, min(mi, math.ceil(mi / f)))
                 cut = cutting_build(v.tiling, rho, rng)
                 cuttings[vid] = cut
-                cell_count += len(cut.cells)
                 vertices[vid] = CatalogVertex(vid, cut.cells, v.adjacency)
                 self.stored_entries += sum(len(c) for c in cut.conflicts)
             cell_tree = CatalogTree(vertices, tree.root)
             mid = MidTreeDS(cell_tree, self.h1, self.h2, rng)
             self.stored_entries += mid.stored_entries
-            self.layers.append(_Layer(f, cuttings, mid, cell_tree, layer_hi(n, f),
-                                      cell_count))
+            self.layers.append(_Layer(cuttings, mid, layer_hi(n, f)))
             prev = cell_tree
 
     def layer_cell_counts(self):
-        return [layer.cell_count for layer in self.layers]
+        return [sum(len(cut.cells) for cut in layer.cuttings.values())
+                for layer in self.layers]
 
     def route(self, path_len: int) -> int:
         """Index of the deepest usable layer for this path length; -1 = base."""

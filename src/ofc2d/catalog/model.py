@@ -51,6 +51,8 @@ class CatalogTree:
 
     def __init__(self, vertices: dict, root: int):
         check_catalog(vertices)
+        if root not in vertices:
+            raise ValueError(f"root {root} is not a vertex")
         self.vertices = vertices
         self.root = root
         self.parent = {root: None}

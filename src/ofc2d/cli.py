@@ -95,9 +95,10 @@ def cmd_build_stats(args, out=None):
     ds = _build_structure(cat, args.structure, rng)
     n = cat.n
     entries = ds.stored_entries
-    # Measured space exponent e in entries = n * (log2 n)^e.
+    # Measured space exponent e in entries = n * (log2 n)^e; undefined, and
+    # printed as 0, where log2 log2 n is 0 (n <= 2).
     logn = math.log2(max(2, n))
-    exponent = (math.log2(entries / n) / math.log2(logn)) if entries > n else 0.0
+    exponent = (math.log2(entries / n) / math.log2(logn)) if entries > n > 2 else 0.0
     print(f"instance {args.instance}", file=out)
     print(f"structure {args.structure}", file=out)
     print(f"total_rects {n}", file=out)

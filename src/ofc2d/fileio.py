@@ -18,8 +18,12 @@ Witness sidecar, one line per rectangle::
 
     rect <id> <class> <group> <layer> <vertex>
 
-Blank lines and ``#`` comments are ignored everywhere.  Malformed input
-raises ParseError with the offending path and 1-based line number.
+Files are read one line at a time; blank lines and ``#`` comments are
+ignored everywhere.  Every malformed line, including a field value that no
+``Rect`` or ``PathQuery`` accepts, raises ParseError with the path and the
+1-based number of that line.  Checks that span lines of a catalog (unknown
+root or neighbour, asymmetric adjacency, mixed bboxes) stay in the
+``CatalogTree`` and ``CatalogGraph`` constructors, which raise ValueError.
 """
 
 from __future__ import annotations
@@ -35,31 +39,35 @@ from .errors import ParseError
 from .geometry import Point, Rect, Tiling
 
 
-class _Lines:
-    def __init__(self, path):
-        self.path = path
-        with open(path) as f:
-            raw = f.readlines()
-        self.items = [(i + 1, ln.split("#", 1)[0].split())
-                      for i, ln in enumerate(raw)]
-        self.items = [(no, toks) for no, toks in self.items if toks]
-        self.pos = 0
+def _records(path):
+    """Yield (line number, tokens) for each line with tokens before its ``#``."""
+    with open(path) as f:
+        for no, line in enumerate(f, 1):
+            toks = line.split("#", 1)[0].split()
+            if toks:
+                yield no, toks
 
-    def next(self, expect=None):
-        if self.pos >= len(self.items):
-            last = self.items[-1][0] if self.items else 0
-            raise ParseError(self.path, last + 1, "unexpected end of file")
-        no, toks = self.items[self.pos]
-        self.pos += 1
-        if expect is not None and toks[0] != expect:
-            raise ParseError(self.path, no, f"expected '{expect}', got '{toks[0]}'")
-        return no, toks
 
-    def ints(self, toks, no, start=1):
-        try:
-            return [int(t) for t in toks[start:]]
-        except ValueError:
-            raise ParseError(self.path, no, f"non-integer field in {toks!r}")
+def _fields(path, no, toks, keyword, count=None, least=0):
+    """The integer fields after ``keyword``: ``count`` or at least ``least``."""
+    if toks[0] != keyword:
+        raise ParseError(path, no, f"expected '{keyword}', got '{toks[0]}'")
+    try:
+        vals = list(map(int, toks[1:]))
+    except ValueError:
+        raise ParseError(path, no, f"non-integer field in {toks!r}") from None
+    if len(vals) < least or (count is not None and len(vals) != count):
+        raise ParseError(path, no, f"'{keyword}' has {len(vals)} integer fields, "
+                         f"needs {count or f'at least {least}'}")
+    return vals
+
+
+def _make(path, no, cls, *args):
+    """``cls(*args)``, with a bad value reported as a ParseError at line ``no``."""
+    try:
+        return cls(*args)
+    except (ValueError, OverflowError) as e:
+        raise ParseError(path, no, str(e)) from e
 
 
 def save_catalog(cat, path):
@@ -83,42 +91,47 @@ def save_catalog(cat, path):
 
 
 def load_catalog(path):
-    ls = _Lines(path)
-    no, toks = ls.next()
-    if toks[0] not in ("tree", "graph") or len(toks) != 3:
-        raise ParseError(path, no, f"bad header {toks!r}")
-    kind = toks[0]
-    n_vertices, degree = ls.ints(toks, no)
-    root = None
-    if kind == "tree":
-        no, toks = ls.next("root")
-        (root,) = ls.ints(toks, no)
+    records = _records(path)
+
+    def take(keyword, count=None, least=0):
+        """Fields of the next record; its line number becomes ``no``."""
+        nonlocal no
+        rec = next(records, None)
+        if rec is None:
+            raise ParseError(path, no + 1, "unexpected end of file")
+        no, toks = rec
+        return _fields(path, no, toks, keyword, count, least)
+
+    no, header = next(records, (1, None))
+    if header is None or header[0] not in ("tree", "graph"):
+        raise ParseError(path, no, "expected a 'tree' or 'graph' header")
+    kind = header[0]
+    n_vertices, degree = _fields(path, no, header, kind, 2)
+    if n_vertices < 0:
+        raise ParseError(path, no, f"negative vertex count {n_vertices}")
+    root = take("root", 1)[0] if kind == "tree" else None
     adjacency = {}
     for _ in range(n_vertices):
-        no, toks = ls.next("adj")
-        vals = ls.ints(toks, no)
-        adjacency[vals[0]] = tuple(vals[1:])
+        vid, *nbrs = take("adj", least=1)
+        if vid in adjacency:
+            raise ParseError(path, no, f"second adj line for vertex {vid}")
+        adjacency[vid] = tuple(nbrs)
     vertices = {}
     for _ in range(n_vertices):
-        no, toks = ls.next("vertex")
-        vid, k = ls.ints(toks, no)
+        vid, k = take("vertex", 2)
         if vid not in adjacency:
             raise ParseError(path, no, f"tiling for unknown vertex {vid}")
-        no, toks = ls.next("bbox")
-        bb = ls.ints(toks, no)
-        if len(bb) != 4:
-            raise ParseError(path, no, "bbox needs 4 coordinates")
-        bbox = Rect(-1, *bb)
+        if vid in vertices:
+            raise ParseError(path, no, f"second section for vertex {vid}")
+        if k < 1:
+            raise ParseError(path, no, f"vertex {vid} needs at least 1 rect")
+        coords = take("bbox", 4)
+        bbox = _make(path, no, Rect, -1, *coords)
         rects = []
         for _ in range(k):
-            no, toks = ls.next("rect")
-            vals = ls.ints(toks, no)
-            if len(vals) != 5:
-                raise ParseError(path, no, "rect needs id + 4 coordinates")
-            rects.append(Rect(*vals))
+            vals = take("rect", 5)
+            rects.append(_make(path, no, Rect, *vals))
         vertices[vid] = CatalogVertex(vid, Tiling(bbox, rects), adjacency[vid])
-    if len(vertices) != n_vertices:
-        raise ParseError(path, 1, "duplicate vertex sections")
     if kind == "tree":
         return CatalogTree(vertices, root)
     return CatalogGraph(vertices, degree)
@@ -135,26 +148,16 @@ def save_queries(queries, path):
 
 
 def load_queries(path):
-    ls = _Lines(path)
     out = []
-    while ls.pos < len(ls.items):
-        no, toks = ls.next()
-        if toks[0] == "path":
-            vals = ls.ints(toks, no)
-            if len(vals) < 3:
-                raise ParseError(path, no, "path query needs a point and a vertex")
-            out.append(PathQuery(Point(vals[0], vals[1]), tuple(vals[2:])))
-        elif toks[0] == "subgraph":
+    for no, toks in _records(path):
+        if toks[0] == "subgraph":
             if len(toks) < 6 or toks[3] != "{" or toks[-1] != "}":
-                raise ParseError(path, no, "subgraph query needs {{ v... }}")
-            try:
-                x, y = int(toks[1]), int(toks[2])
-                vs = frozenset(int(t) for t in toks[4:-1])
-            except ValueError:
-                raise ParseError(path, no, f"non-integer field in {toks!r}")
-            out.append(SubgraphQuery(Point(x, y), vs))
+                raise ParseError(path, no, "subgraph query needs { v... }")
+            x, y, *vs = _fields(path, no, toks[:3] + toks[4:-1], "subgraph")
+            out.append(SubgraphQuery(Point(x, y), frozenset(vs)))
         else:
-            raise ParseError(path, no, f"unknown query kind '{toks[0]}'")
+            x, y, *vs = _fields(path, no, toks, "path", least=3)
+            out.append(_make(path, no, PathQuery, Point(x, y), tuple(vs)))
     return out
 
 
@@ -167,12 +170,8 @@ def save_witness(wit, path):
 
 def load_witness_shapes(path):
     """Sidecar loader: rect id -> (class, group, layer, vertex)."""
-    ls = _Lines(path)
     out = {}
-    while ls.pos < len(ls.items):
-        no, toks = ls.next("rect")
-        vals = ls.ints(toks, no)
-        if len(vals) != 5:
-            raise ParseError(path, no, "witness line needs 5 integers")
-        out[vals[0]] = tuple(vals[1:])
+    for no, toks in _records(path):
+        rid, *shape = _fields(path, no, toks, "rect", 5)
+        out[rid] = tuple(shape)
     return out

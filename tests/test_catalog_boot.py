@@ -54,7 +54,7 @@ def test_layer_cell_budget():
     ds = BootstrappedDS(cat, 1, rng)
     f0 = math.ceil(math.log2(cat.n))
     assert len(ds.layers) == 1
-    assert ds.layers[0].cell_count <= 4 * cat.n / f0
+    assert ds.layer_cell_counts()[0] <= 4 * cat.n / f0
 
 
 def test_layer_cells_strictly_shrink():

@@ -53,6 +53,28 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     fields = dict(line.split(maxsplit=1) for line in text.strip().splitlines())
     assert int(fields["stored_entries"]) > 0
     assert "bootstrap_layer_cells" in fields
+    # Two vertices of one rect each: log2 log2 n is 0, so no exponent is fit.
+    body = ("adj 0 1\nadj 1 0\nvertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"
+            "vertex 1 1\nbbox 0 8 0 8\nrect 1 0 8 0 8\n")
+    tiny = tmp_path / "tiny.cat"
+    for kind in ("path", "short-tree", "mid-tree", "tree", "graph", "long-path"):
+        header = "graph 2 1\n" if kind == "graph" else "tree 2 1\nroot 0\n"
+        tiny.write_text(header + body)
+        assert main(["build-stats", "--instance", str(tiny), "--structure",
+                     kind, "--seed", "4"]) == 0
+        fields = dict(line.split(maxsplit=1)
+                      for line in capsys.readouterr().out.strip().splitlines())
+        assert fields["total_rects"] == "2"
+        assert fields["space_exponent"] == "0.000"
+
+
+def test_build_stats_parse_error_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cat"
+    bad.write_text("tree 1 0\nroot 0\nadj 0\nvertex 0 1\nbbox 0 8 0 8\n"
+                   "rect 0 0 0 0 8\n")  # zero-width rect
+    assert main(["build-stats", "--instance", str(bad), "--structure", "tree",
+                 "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:6:")
 
 
 def test_bench_empty_workload_header_only(tmp_path):

@@ -80,11 +80,28 @@ def test_witness_round_trip(tmp_path):
     assert shapes[rid][3] == wit.vertex_of[rid]
 
 
+ONE = "tree 1 0\nroot 0\nadj 0\nvertex 0 1\nbbox 0 8 0 8\n"
+TWO = ("graph 2 1\nadj 0 1\nadj 1 0\n"
+       "vertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"
+       "vertex 1 1\nbbox 0 8 0 8\nrect 1 0 8 0 8\n")
+
+
 @pytest.mark.parametrize("text,lineno", [
     ("nonsense 1 2\n", 1),
     ("tree 1 2\nroot 0\nadj 0\nvertex 0 one\n", 4),
     ("tree 2 2\nroot 0\nadj 0 1\n", 4),  # truncated
     ("tree 1 0\nroot 0\nadj 0\nvertex 0 1\nbbox 0 4 0\n", 5),
+    ("", 1),  # empty file
+    ("tree -1 0\nroot 0\n", 1),  # negative vertex count
+    ("tree 1 0\nroot 0\nadj\n", 3),  # adj with no vertex id
+    ("tree 1 0\nroot 0 1\n", 2),
+    ("tree 1 0\nroot 0\nadj 0\nvertex 0\n", 4),
+    (ONE + "rect 0 0 0 0 8\n", 6),  # zero width
+    (ONE + "rect 0 0 100000000000000000000 0 8\n", 6),  # past 64 bits
+    ("tree 1 0\nroot 0\nadj 0\nvertex 0 1\nbbox 0 8 8 8\n", 5),  # zero height
+    ("tree 1 0\nroot 0\nadj 0\nvertex 0 0\nbbox 0 8 0 8\n", 4),  # no rects
+    (TWO.replace("adj 1 0", "adj 0 1"), 3),  # repeated adj id
+    (TWO.replace("vertex 1", "vertex 0"), 7),  # repeated vertex section
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     p = tmp_path / "bad.cat"
@@ -103,6 +120,10 @@ def test_query_parse_errors(tmp_path):
     p.write_text("subgraph 1 2 [ 3 ]\n")
     with pytest.raises(ParseError):
         load_queries(p)
+    p.write_text("path 1 2 3\npath 1 2 3 3\n")  # repeated vertex
+    with pytest.raises(ParseError) as ei:
+        load_queries(p)
+    assert ei.value.lineno == 2
 
 
 def test_comments_and_blanks_ignored(tmp_path):
@@ -131,4 +152,12 @@ def test_load_rejects_inconsistent_catalog(tmp_path, edit):
     load_catalog(p)
     p.write_text(text.replace(*edit))
     with pytest.raises(ValueError):
+        load_catalog(p)
+
+
+def test_load_rejects_unknown_root(tmp_path):
+    p = tmp_path / "t.cat"
+    p.write_text("tree 1 0\nroot 5\nadj 0\nvertex 0 1\nbbox 0 8 0 8\n"
+                 "rect 0 0 8 0 8\n")
+    with pytest.raises(ValueError, match="root 5"):
         load_catalog(p)
