@@ -9,6 +9,11 @@ set becomes a simple path over distinct copies.  Only each vertex's
 designated copy 0 is cut and indexed, so only it contributes an answer; the
 other copies own no cells and only carry the walk.  The expanded copy graph
 itself (``graph_to_path_catalog``) is never built by a query structure.
+
+When no designated copy has a cutting with more than one cell, as at the
+sizes the conflict budget r^(2 log d) usually leaves, every vertex is located
+directly in its one cell's conflict index, so a subgraph query needs no walk:
+its vertex set is checked for connectivity and each vertex is located once.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .model import (
     SubgraphQuery,
     check_path,
     check_vertices,
+    reachable,
 )
 from .short_tree import ChunkedStabDS
 
@@ -108,8 +114,21 @@ class GraphDS(ChunkedStabDS):
         """Answer a SubgraphQuery through its walk over distinct copies, or a
         PathQuery over the graph through the designated copies."""
         if isinstance(q, SubgraphQuery):
-            # Adjacency is symmetric, so consecutive walk copies are adjacent.
-            path = subgraph_to_walk(self.g, q, self.copy_map).path
+            if self.cells:
+                # Adjacency is symmetric, so consecutive walk copies are
+                # adjacent.
+                path = subgraph_to_walk(self.g, q, self.copy_map).path
+            else:
+                # Every cutting has one cell, located directly: the walk
+                # would only order the copies 0, and the order decides
+                # nothing.  Its checks remain, in the same order.
+                vs = q.vertex_set
+                check_vertices(self.g.vertices, vs)
+                if vs:
+                    seen = reachable(self.g.vertices, min(vs), vs)
+                    if len(seen) != len(vs):
+                        raise DisconnectedSubgraph(f"{sorted(vs - seen)} unreachable")
+                path = [self.copy_map[v][0] for v in vs]
         else:
             check_path(self.g, q.path)
             path = tuple(self.copy_map[v][0] for v in q.path)

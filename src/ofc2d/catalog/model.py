@@ -140,20 +140,24 @@ class CatalogGraph:
         self.n = sum(len(v.tiling) for v in vertices.values())
 
     def _connected(self):
-        start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in self.vertices[u].adjacency:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self.vertices)
+        vertices = self.vertices
+        return len(reachable(vertices, next(iter(vertices)), vertices)) == len(vertices)
 
     @property
     def bbox(self):
         return next(iter(self.vertices.values())).tiling.bbox
+
+
+def reachable(vertices, start, within):
+    """The vertices of ``within`` that ``start`` reaches through them."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in vertices[stack.pop()].adjacency:
+            if v in within and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def check_vertices(vertices, vids):

@@ -215,7 +215,9 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Ofc2dError as e:
+    # ValueError: a catalog that a CatalogTree or CatalogGraph check rejects;
+    # OSError: a file that cannot be opened.
+    except (Ofc2dError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

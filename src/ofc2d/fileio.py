@@ -9,10 +9,15 @@ Catalog file::
     bbox <xlo> <xhi> <ylo> <yhi>
     rect <id> <xlo> <xhi> <ylo> <yhi>   (n_rects lines)
 
+Nothing but blank lines and comments may follow the last vertex section.
+
 Query file, one query per line::
 
     path <q.x> <q.y> <v1> <v2> ...
     subgraph <q.x> <q.y> { <v1> <v2> ... }
+
+A query with no vertices (``path 1 1``, ``subgraph 1 1 { }``) is an empty
+query, which every structure answers with no vertices.
 
 Witness sidecar, one line per rectangle::
 
@@ -132,6 +137,9 @@ def load_catalog(path):
             vals = take("rect", 5)
             rects.append(_make(path, no, Rect, *vals))
         vertices[vid] = CatalogVertex(vid, Tiling(bbox, rects), adjacency[vid])
+    rec = next(records, None)
+    if rec is not None:
+        raise ParseError(path, rec[0], f"'{rec[1][0]}' after the last vertex section")
     if kind == "tree":
         return CatalogTree(vertices, root)
     return CatalogGraph(vertices, degree)
@@ -151,12 +159,12 @@ def load_queries(path):
     out = []
     for no, toks in _records(path):
         if toks[0] == "subgraph":
-            if len(toks) < 6 or toks[3] != "{" or toks[-1] != "}":
+            if len(toks) < 5 or toks[3] != "{" or toks[-1] != "}":
                 raise ParseError(path, no, "subgraph query needs { v... }")
             x, y, *vs = _fields(path, no, toks[:3] + toks[4:-1], "subgraph")
             out.append(SubgraphQuery(Point(x, y), frozenset(vs)))
         else:
-            x, y, *vs = _fields(path, no, toks, "path", least=3)
+            x, y, *vs = _fields(path, no, toks, "path", least=2)
             out.append(_make(path, no, PathQuery, Point(x, y), tuple(vs)))
     return out
 

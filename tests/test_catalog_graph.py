@@ -70,6 +70,17 @@ def test_disconnected_subgraph_raises():
     q = SubgraphQuery(random_point(g.bbox, rng), frozenset({0, 4}))
     with pytest.raises(DisconnectedSubgraph):
         subgraph_to_walk(g, q, copy_map)
+    # GraphDS raises it with the walk and without it, after UnknownVertex.
+    one_cell = GraphDS(g, rng)
+    assert not one_cell.cells
+    g2, mixed, _ = mixed_graph(11)
+    far = next(v for v in g2.vertices if v != 0 and v not in g2.vertices[0].adjacency)
+    for cat, ds, vs in ((g, one_cell, {0, 4}), (g2, mixed, {0, far})):
+        p = random_point(cat.bbox, rng)
+        with pytest.raises(DisconnectedSubgraph):
+            ds.query(SubgraphQuery(p, frozenset(vs)))
+        with pytest.raises(UnknownVertex):
+            ds.query(SubgraphQuery(p, frozenset(vs | {99})))
 
 
 def test_path_queries_on_cycle_match_oracle():
@@ -82,7 +93,7 @@ def test_path_queries_on_cycle_match_oracle():
         q = PathQuery(random_point(g.bbox, rng), path)
         c = WorkCounters()
         assert ds.query(q, c) == oracle_query(g, q.q, path)
-        assert c.structures_queried >= 1
+        assert c.cells_located == len(path)
 
 
 def test_subgraph_queries_match_oracle():
@@ -141,44 +152,54 @@ def test_only_designated_copies_are_indexed():
         assert ans == oracle_query(g, q.q, sorted(vs))
 
 
-def test_chunks_without_cells_are_skipped():
-    """A chunk of the walk holding only copies that own no cells gets no
-    stab: none is built, cached, queried or counted for it."""
-    rng = random.Random(11)
-    g = random_graph_catalog(20, 80, 3, rng)
+def mixed_graph(seed):
+    """Six vertices of about 1000 rects on a degree-2 graph: at this size
+    their cuttings have 1 to 17 cells, so some vertices are located directly
+    and the others through chunk stabs."""
+    rng = random.Random(seed)
+    g = random_graph_catalog(6, 6000, 2, rng)
     ds = GraphDS(g, rng)
-    vids = list(g.vertices)
+    assert ds.direct and ds.cells
+    return g, ds, rng
+
+
+def connected_set(g, rng, size):
+    vids = sorted(g.vertices)
+    vs = {rng.choice(vids)}
+    while len(vs) < size:
+        vs.add(rng.choice([w for v in sorted(vs) for w in g.vertices[v].adjacency]))
+    return frozenset(vs)
+
+
+def test_chunks_without_cells_are_skipped():
+    """A chunk of the walk holding no copy with a multi-cell cutting gets no
+    stab: none is built, cached, queried or counted for it."""
+    g, ds, rng = mixed_graph(11)
     skipped = 0
     for _ in range(40):
-        vs = {rng.choice(vids)}
-        while len(vs) < 6:
-            vs.add(rng.choice([w for v in vs for w in g.vertices[v].adjacency]))
-        q = SubgraphQuery(random_point(g.bbox, rng), frozenset(vs))
+        vs = connected_set(g, rng, rng.randint(2, 6))
+        q = SubgraphQuery(random_point(g.bbox, rng), vs)
         walk = subgraph_to_walk(g, q, ds.copy_map).path
         chunks = [walk[i:i + ds.L] for i in range(0, len(walk), ds.L)]
-        owning = sum(any(v in ds.cuttings for v in ch) for ch in chunks)
+        owning = sum(any(v in ds.cells for v in ch) for ch in chunks)
         skipped += len(chunks) - owning
         c = WorkCounters()
         assert ds.query(q, c) == oracle_query(g, q.q, sorted(vs))
         assert c.structures_queried == owning
+        assert c.cells_located == len(vs)
     assert skipped > 0
     assert all(s.stored_entries > 0 for s in ds._stabs.values())
 
 
 def test_stab_keys_are_sorted_copies_that_own_cells():
-    """Each chunk's stab is cached under the sorted tuple of its copies that
-    own cells, so chunks differing only in order or in copies without cells
+    """Each chunk's stab is cached under the sorted tuple of its copies with
+    multi-cell cuttings, so chunks differing only in order or in other copies
     share one stab."""
-    rng = random.Random(13)
-    g = random_graph_catalog(20, 80, 3, rng)
-    ds = GraphDS(g, rng)
-    vids = list(g.vertices)
+    g, ds, rng = mixed_graph(13)
     owning_sets = set()
     for _ in range(60):
-        vs = {rng.choice(vids)}
-        while len(vs) < rng.randint(2, 6):
-            vs.add(rng.choice([w for v in vs for w in g.vertices[v].adjacency]))
-        q = SubgraphQuery(random_point(g.bbox, rng), frozenset(vs))
+        vs = connected_set(g, rng, rng.randint(2, 6))
+        q = SubgraphQuery(random_point(g.bbox, rng), vs)
         walk = subgraph_to_walk(g, q, ds.copy_map).path
         for i in range(0, len(walk), ds.L):
             owning = frozenset(v for v in walk[i:i + ds.L] if v in ds.cells)

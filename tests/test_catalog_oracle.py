@@ -25,7 +25,12 @@ from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import NotRootToLeaf, Ofc2dError, PointOutsideBBox, UnknownVertex
-from ofc2d.gen import random_path_catalog, random_point
+from ofc2d.gen import (
+    random_graph_catalog,
+    random_path_catalog,
+    random_point,
+    random_tree_catalog,
+)
 from ofc2d.geometry import Point, Rect
 from ofc2d.oracle import oracle_query
 
@@ -105,6 +110,30 @@ def test_empty_query_answers_empty(kind):
         assert ds.query(PathQuery(p, ())) == QueryAnswer({})
         if kind == "graph":
             assert ds.query(SubgraphQuery(p, frozenset())) == QueryAnswer({})
+
+
+@pytest.mark.parametrize("kind", ["short-tree", "graph"])
+def test_one_cell_cuttings_build_no_stab(kind):
+    """On the chain every cutting has one cell, so every vertex is located
+    directly in that cell's conflict index: no stab is built or visited, and
+    each query locates each of its vertices once."""
+    cat, ds = chain_case(kind)
+    assert not ds.cells and len(ds.direct) == len(cat.vertices)
+    rng = random.Random(5)
+    queries = []
+    for _ in range(20):
+        i, j = sorted(rng.sample(range(9), 2))
+        q = PathQuery(random_point(cat.bbox, rng), tuple(range(i, j)))
+        queries.append(q)
+        if kind == "graph":
+            queries.append(SubgraphQuery(q.q, frozenset(q.path)))
+    for q in queries:
+        c = WorkCounters()
+        assert ds.query(q, c) == oracle_query(cat, q.q, vertices_of(q))
+        assert c.stab_nodes_visited == 0
+        assert c.structures_queried == 0
+        assert c.cells_located == len(vertices_of(q))
+    assert ds._stabs == {}
 
 
 @pytest.mark.parametrize("kind", [*TREE_KINDS, "graph"])
@@ -251,5 +280,58 @@ def test_tree_structures_match_oracle(case):
 def test_graph_structure_matches_oracle(case):
     cat, queries = case
     ds = GraphDS(cat, random.Random(0))
+    for q in queries:
+        assert agrees(cat, ds, q), q
+
+
+@st.composite
+def mixed_cases(draw):
+    """A tree, or a degree-2 graph, of 2-6 vertices with a few hundred to
+    about 1000 rects each: at these sizes their cuttings have from 1 to about
+    17 cells, so direct locates and chunk stabs answer the same query.  Queries are paths
+    (walks on the graph) and, on the graph, the vertex sets of walks; one in
+    four holds an unknown vertex and one point in four is outside the bbox."""
+    graph = draw(st.booleans())
+    k = draw(st.integers(2, 6))
+    n = k * draw(st.sampled_from([400, 700, 1000]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    if graph:
+        cat = random_graph_catalog(k, n, 2, rng)
+    else:
+        cat = random_tree_catalog(k, n, draw(st.integers(1, k - 1)), rng)
+    vids = st.sampled_from(sorted(cat.vertices))
+    b = cat.bbox
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 3)):
+            p = Point(draw(st.integers(b.xlo, b.xhi - 1)), draw(st.integers(b.ylo, b.yhi - 1)))
+        else:
+            p = draw(st.sampled_from([Point(b.xhi, b.ylo), Point(b.xlo - 1, b.yhi - 1),
+                                      Point(b.xlo, b.yhi + 3)]))
+        if graph:
+            walk = [draw(vids)]
+            for _ in range(draw(st.integers(0, 5))):
+                nxt = sorted(set(cat.vertices[walk[-1]].adjacency) - set(walk))
+                if not nxt:
+                    break
+                walk.append(draw(st.sampled_from(nxt)))
+            walk = with_unknown(draw, walk)
+            if draw(st.booleans()):
+                queries.append(SubgraphQuery(p, frozenset(walk)))
+                continue
+        else:
+            walk = with_unknown(draw, cat.path_between(draw(vids), draw(vids)))
+        queries.append(PathQuery(p, walk))
+    return cat, queries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mixed_cases())
+def test_mixed_cuttings_match_oracle(case):
+    cat, queries = case
+    if isinstance(cat, CatalogTree):
+        ds = ShortTreeDS(cat, random.Random(0))
+    else:
+        ds = GraphDS(cat, random.Random(0))
     for q in queries:
         assert agrees(cat, ds, q), q

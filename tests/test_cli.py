@@ -77,6 +77,23 @@ def test_build_stats_parse_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad}:6:")
 
 
+@pytest.mark.parametrize("text,message", [
+    # Loads line by line, but no vertex is the root.
+    ("tree 1 0\nroot 5\nadj 0\nvertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n",
+     "error: root 5"),
+    (None, "error: [Errno 2]"),  # no such file
+], ids=["rejected", "missing"])
+def test_bad_instance_exit_code(tmp_path, capsys, text, message):
+    inst = tmp_path / "i.cat"
+    if text is not None:
+        inst.write_text(text)
+    for cmd in ("build-stats", "bench"):
+        extra = ["--out", str(tmp_path / "r.csv")] if cmd == "bench" else []
+        assert main([cmd, "--instance", str(inst), "--structure", "tree",
+                     "--seed", "1", *extra]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+
 def test_bench_empty_workload_header_only(tmp_path):
     inst = tmp_path / "p.cat"
     main(["gen", "--kind", "random-path", "--vertices", "8", "--per-vertex",

@@ -61,6 +61,9 @@ def test_query_round_trip(tmp_path):
         PathQuery(random_point(cat.bbox, rng), (0, 1)),
         SubgraphQuery(random_point(cat.bbox, rng), frozenset({0, 1, 2})),
         PathQuery(Point(0, 0), (5,)),
+        # Empty queries, written as "path 1 1" and "subgraph 1 1 {  }".
+        PathQuery(Point(1, 1), ()),
+        SubgraphQuery(Point(1, 1), frozenset()),
     ]
     p = tmp_path / "q.txt"
     save_queries(qs, p)
@@ -102,6 +105,9 @@ TWO = ("graph 2 1\nadj 0 1\nadj 1 0\n"
     ("tree 1 0\nroot 0\nadj 0\nvertex 0 0\nbbox 0 8 0 8\n", 4),  # no rects
     (TWO.replace("adj 1 0", "adj 0 1"), 3),  # repeated adj id
     (TWO.replace("vertex 1", "vertex 0"), 7),  # repeated vertex section
+    pytest.param(TWO + "vertex 7 1\nbbox 0 9 0 9\nrect 2 0 9 0 9\ngarbage x\n", 10,
+                 id="third-section"),
+    pytest.param(TWO + "# trailing comment\n\ngarbage x\n", 12, id="trailing-garbage"),
 ])
 def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     p = tmp_path / "bad.cat"
@@ -113,11 +119,14 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
 
 def test_query_parse_errors(tmp_path):
     p = tmp_path / "bad.q"
-    p.write_text("# comment\n\npath 1 2\n")
+    p.write_text("# comment\n\npath 1\n")
     with pytest.raises(ParseError) as ei:
         load_queries(p)
     assert ei.value.lineno == 3
     p.write_text("subgraph 1 2 [ 3 ]\n")
+    with pytest.raises(ParseError):
+        load_queries(p)
+    p.write_text("subgraph 1 { }\n")  # no y
     with pytest.raises(ParseError):
         load_queries(p)
     p.write_text("path 1 2 3\npath 1 2 3 3\n")  # repeated vertex
