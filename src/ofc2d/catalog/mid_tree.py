@@ -32,26 +32,10 @@ class SubTree(CatalogTree):
     __slots__ = ()
 
     def __init__(self, tree, root, max_rel_depth=None):
-        self.root = root
-        self.vertices = {}
-        self.children = {}
-        self.parent = {root: None}
-        self.depth = {root: 0}
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            self.vertices[u] = tree.vertices[u]
-            d = self.depth[u]
-            if max_rel_depth is not None and d == max_rel_depth:
-                self.children[u] = []
-                continue
-            kids = tree.children[u]
-            self.children[u] = list(kids)
-            for c in kids:
-                self.parent[c] = u
-                self.depth[c] = d + 1
-                stack.append(c)
-        self._finish()
+        self._walk(root, lambda u: [] if self.depth[u] == max_rel_depth
+                   else tree.children[u])
+        self.vertices = {u: tree.vertices[u] for u in self.order}
+        self.n = sum(len(v.tiling) for v in self.vertices.values())
 
 
 class RootLeafDS:

@@ -1,8 +1,9 @@
 """Catalog graphs and trees: vertices carrying rectangle tilings.
 
 All structures are immutable after construction.  Trees precompute parents,
-depths and a deterministic left-to-right leaf order (children sorted by id),
-which everything downstream relies on for reproducibility.
+depths, one depth-first visiting order and the left-to-right leaf order it
+gives (children sorted by id), which everything downstream relies on for
+reproducibility.
 """
 
 from __future__ import annotations
@@ -47,52 +48,42 @@ def check_catalog(vertices):
 
 class CatalogTree:
     __slots__ = ("vertices", "root", "parent", "children", "depth", "height",
-                 "leaves", "n")
+                 "order", "leaves", "n")
 
     def __init__(self, vertices: dict, root: int):
         check_catalog(vertices)
         if root not in vertices:
             raise ValueError(f"root {root} is not a vertex")
         self.vertices = vertices
+        self._walk(root, lambda u: [v for v in sorted(vertices[u].adjacency)
+                                    if v != self.parent[u]])
+        if len(self.order) != len(vertices):
+            raise ValueError("catalog tree is not connected")
+        self.n = sum(len(v.tiling) for v in vertices.values())
+
+    def _walk(self, root, kids_of):
+        """Depth-first walk from ``root``; ``kids_of(u)`` gives u's children
+        in id order.  ``order`` lists the vertices as the stack pops them:
+        parents first, the last child's subtree before the others', so its
+        reverse lists the leaves left to right."""
         self.root = root
         self.parent = {root: None}
-        self.children = {}
         self.depth = {root: 0}
-        order = [root]
+        self.children = {}
+        self.order = []
         stack = [root]
         while stack:
             u = stack.pop()
-            kids = [v for v in sorted(vertices[u].adjacency) if v != self.parent[u]]
-            self.children[u] = kids
+            self.order.append(u)
+            kids = self.children[u] = kids_of(u)
             for v in kids:
                 if v in self.parent:
                     raise ValueError("catalog tree contains a cycle")
                 self.parent[v] = u
                 self.depth[v] = self.depth[u] + 1
-                order.append(v)
-                stack.append(v)
-        if len(order) != len(vertices):
-            raise ValueError("catalog tree is not connected")
-        self._finish()
-
-    def _finish(self):
-        """Height, left-to-right leaves and rect count, once the walk has
-        filled vertices, children and depth."""
+            stack.extend(kids)
         self.height = max(self.depth.values())
-        self.leaves = self._ordered_leaves()
-        self.n = sum(len(v.tiling) for v in self.vertices.values())
-
-    def _ordered_leaves(self):
-        out = []
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            kids = self.children[u]
-            if not kids:
-                out.append(u)
-            else:
-                stack.extend(reversed(kids))
-        return out
+        self.leaves = [u for u in reversed(self.order) if not self.children[u]]
 
     @property
     def bbox(self):
@@ -211,20 +202,14 @@ class QueryAnswer:
 
 
 def assign_z_ranges(t: CatalogTree) -> dict:
-    """Leaf i (left to right) gets [i-1, i); internal vertices the union of
-    their children's ranges; the root [0, #leaves)."""
-    z = {}
-    for i, leaf in enumerate(t.leaves):
-        z[leaf] = (i, i + 1)
-    # Children precede parents in reverse traversal order.
-    order = [t.root]
-    for u in order:
-        order.extend(t.children[u])
-    for u in reversed(order):
-        if t.children[u]:
-            lo = min(z[c][0] for c in t.children[u])
-            hi = max(z[c][1] for c in t.children[u])
-            z[u] = (lo, hi)
+    """Leaf i (left to right, from 0) gets [i, i+1); internal vertices the
+    union of their children's ranges; the root [0, #leaves)."""
+    z = {leaf: (i, i + 1) for i, leaf in enumerate(t.leaves)}
+    # Children precede parents, and list left to right, in reversed order.
+    for u in reversed(t.order):
+        kids = t.children[u]
+        if kids:
+            z[u] = (z[kids[0]][0], z[kids[-1]][1])
     return z
 
 
@@ -236,10 +221,7 @@ def heavy_path_decompose(t: CatalogTree):
     root-to-leaf walk meets at most ceil(log2 |V|) + 1 of them.
     """
     size = {}
-    order = [t.root]
-    for u in order:
-        order.extend(t.children[u])
-    for u in reversed(order):
+    for u in reversed(t.order):
         size[u] = 1 + sum(size[c] for c in t.children[u])
     paths = []
     head_stack = [t.root]

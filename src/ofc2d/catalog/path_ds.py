@@ -47,9 +47,11 @@ class PathDS:
             raise VertexNotOnPath(f"vertex {e.args[0]} not on the catalog path")
         if not idxs:
             return QueryAnswer({})
-        lo, hi = min(idxs), max(idxs)
-        if hi - lo + 1 != len(q.path):
-            raise VertexNotOnPath("query path is not contiguous on the catalog path")
+        first, last = idxs[0], idxs[-1]
+        step = 1 if first <= last else -1
+        if idxs != list(range(first, last + step, step)):
+            raise VertexNotOnPath("query path is not a walk along the catalog path")
+        lo, hi = min(first, last), max(first, last)
         wanted = set(q.path)
         out = {}
         for b in range(lo // self.block_size, hi // self.block_size + 1):

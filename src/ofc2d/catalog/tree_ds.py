@@ -33,7 +33,7 @@ class TreeDS:
         chain = f_chain(n, 1)
         rounds = 1 if chain and layer_hi(n, chain[-1]) > self.t1 else 0
         self.short = ShortTreeDS(tree, rng)
-        self.mid = BootstrappedDS(tree, rounds, rng, h1=self.t1, h2=self.t2)
+        self.mid = BootstrappedDS(tree, rounds, rng)
         self.long = LongPathDS(tree)
 
     @property

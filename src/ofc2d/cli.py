@@ -27,7 +27,8 @@ from . import fileio
 from .catalog.graph_ds import GraphDS
 from .catalog.long_path import LongPathDS
 from .catalog.mid_tree import MidTreeDS
-from .catalog.model import CatalogGraph, CatalogTree, PathQuery, regime_heights
+from .catalog.model import (CatalogGraph, CatalogTree, PathQuery, SubgraphQuery,
+                            regime_heights)
 from .catalog.path_ds import build_path_structure
 from .catalog.short_tree import ShortTreeDS
 from .catalog.tree_ds import TreeDS
@@ -142,6 +143,9 @@ def cmd_bench(args):
     ds = _build_structure(cat, args.structure, rng)
     if args.queries:
         workload = fileio.load_queries(args.queries)
+        if args.structure != "graph" and any(
+                isinstance(q, SubgraphQuery) for q in workload):
+            raise Ofc2dError(f"{args.structure} structure answers no subgraph query")
     else:
         workload = _random_workload(cat, args.count, args.path_len, rng)
 

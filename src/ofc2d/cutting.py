@@ -21,23 +21,10 @@ from .geometry import (
     Segment,
     SlabIndex,
     Tiling,
+    merge_intervals,
     trapezoidal_decompose,
     validate_tiling,
 )
-
-
-def _merge_spans(spans):
-    spans.sort()
-    out = []
-    lo, hi = spans[0]
-    for a, b in spans[1:]:
-        if a <= hi:
-            hi = max(hi, b)
-        else:
-            out.append((lo, hi))
-            lo, hi = a, b
-    out.append((lo, hi))
-    return out
 
 
 def _merged_edge_segments(rects, bbox):
@@ -56,9 +43,9 @@ def _merged_edge_segments(rects, bbox):
     hs = []  # (y, xlo, xhi)
     vs = []  # (x, ylo, yhi)
     for x, spans in vlines.items():
-        vs.extend((x, lo, hi) for lo, hi in _merge_spans(spans))
+        vs.extend((x, lo, hi) for lo, hi in merge_intervals(spans))
     for y, spans in hlines.items():
-        hs.extend((y, lo, hi) for lo, hi in _merge_spans(spans))
+        hs.extend((y, lo, hi) for lo, hi in merge_intervals(spans))
     hs.sort()
     hys = [h[0] for h in hs]
     hsplit = {}
@@ -80,24 +67,17 @@ def _merged_edge_segments(rects, bbox):
     return segs
 
 
-def _conflicts_for_cells(cells, source_rects):
+def _conflicts_for_cells(cells: Tiling, source_rects):
     """Per-cell list of source rect indices intersecting the cell.
 
-    Cells must tile the bbox; each slab's cells partition y, so the rects
-    meeting a slab form a contiguous run found by binary search.
+    Each slab of the cells' index holds its cells in ylo order, partitioning
+    y, so the cells a rect meets in a slab form a run found by binary search.
+    A cell's id is its position in ``cells.rects``.
     """
-    xs = sorted({x for c in cells for x in (c.xlo, c.xhi)})
+    index = cells.index()
+    xs, slab_ylos, slab_rects = index.xs, index.slab_ylos, index.slab_rects
     nslab = len(xs) - 1
-    slab_cells = [[] for _ in range(nslab)]
-    for ci, c in enumerate(cells):
-        i0 = bisect.bisect_left(xs, c.xlo)
-        i1 = bisect.bisect_left(xs, c.xhi)
-        for i in range(i0, i1):
-            slab_cells[i].append((c.ylo, ci))
-    for b in slab_cells:
-        b.sort()
-    slab_ylos = [[t[0] for t in b] for b in slab_cells]
-    conflicts = [[] for _ in cells]
+    conflicts = [[] for _ in cells.rects]
     for ri, r in enumerate(source_rects):
         i0 = bisect.bisect_right(xs, r.xlo) - 1
         i1 = bisect.bisect_left(xs, r.xhi)
@@ -105,9 +85,8 @@ def _conflicts_for_cells(cells, source_rects):
             ylos = slab_ylos[i]
             k0 = max(bisect.bisect_right(ylos, r.ylo) - 1, 0)
             k1 = bisect.bisect_left(ylos, r.yhi)
-            for k in range(k0, k1):
-                ci = slab_cells[i][k][1]
-                lst = conflicts[ci]
+            for cell in slab_rects[i][k0:k1]:
+                lst = conflicts[cell.id]
                 if not lst or lst[-1] != ri:
                     lst.append(ri)
     return conflicts
@@ -239,7 +218,7 @@ def cutting_build(source: Tiling, r: int, rng: random.Random | None = None) -> C
         sampled = [rect for rect in source.rects if rng.random() < p]
         segs = _merged_edge_segments(sampled, bbox)
         coarse = trapezoidal_decompose(bbox, segs)
-        conf = _conflicts_for_cells(coarse.rects, source.rects)
+        conf = _conflicts_for_cells(coarse, source.rects)
         pairs = _split_overfull(
             [(c.key(), cf) for c, cf in zip(coarse.rects, conf)], budget, source.rects
         )

@@ -191,7 +191,7 @@ def tiling_locate_naive(t: Tiling, p: Point, counters=None) -> int:
     raise PointOutsideBBox(f"{p} not covered by tiling")
 
 
-def validate_tiling(t: Tiling, check_ids=True):
+def validate_tiling(t: Tiling):
     """Raise ValueError unless ``t`` is an exact disjoint cover of its bbox."""
     bbox = t.bbox
     area = 0
@@ -204,10 +204,8 @@ def validate_tiling(t: Tiling, check_ids=True):
         xs.add(r.xhi)
     if area != bbox.area:
         raise ValueError(f"area sum {area} != bbox area {bbox.area}")
-    if check_ids:
-        ids = {r.id for r in t.rects}
-        if len(ids) != len(t.rects):
-            raise ValueError("duplicate rect ids")
+    if len({r.id for r in t.rects}) != len(t.rects):
+        raise ValueError("duplicate rect ids")
     # Disjointness + coverage per x-slab: the rects covering each slab must
     # partition the bbox's y extent exactly.
     xs = sorted(xs)
@@ -230,7 +228,7 @@ def validate_tiling(t: Tiling, check_ids=True):
             raise ValueError(f"slab [{xs[i]},{xs[i+1]}): uncovered above y={y}")
 
 
-def _merge_intervals(pieces):
+def merge_intervals(pieces):
     pieces = sorted(pieces)
     out = []
     for lo, hi in pieces:
@@ -337,7 +335,7 @@ def trapezoidal_decompose(bbox: Rect, segments) -> Tiling:
             k = bisect.bisect_left(stops, y0)
             if k > 0:
                 pieces.append([stops[k - 1], y0])  # downward ray
-        wall = _merge_intervals(pieces)
+        wall = merge_intervals(pieces)
 
         # Close every open cell the wall overlaps with positive measure.
         closed = []
@@ -360,7 +358,7 @@ def trapezoidal_decompose(bbox: Rect, segments) -> Tiling:
             bisect.insort(act, s.fixed)
 
         # Reopen the closed region, partitioned by the new active set.
-        for lo, hi in _merge_intervals([list(c) for c in closed]):
+        for lo, hi in merge_intervals([list(c) for c in closed]):
             k0 = bisect.bisect_right(act, lo)
             k1 = bisect.bisect_left(act, hi)
             bounds = [lo] + act[k0:k1] + [hi]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ofc2d.catalog.mid_tree import SubTree
 from ofc2d.catalog.model import (
     CatalogGraph,
     CatalogTree,
@@ -53,6 +54,46 @@ def test_z_ranges_parent_union_of_children(seed):
     for leaf in cat.leaves:
         lo, hi = z[leaf]
         assert hi - lo == 1
+
+
+def _popped_order(t, u):
+    """Preorder taking children right to left: the order a stack that
+    pushes them in id order pops them."""
+    return [u] + [w for c in reversed(t.children[u]) for w in _popped_order(t, c)]
+
+
+def _leaves_left_to_right(t, u):
+    kids = t.children[u]
+    return [w for c in kids for w in _leaves_left_to_right(t, c)] if kids else [u]
+
+
+def _check_walk(t):
+    assert t.order == _popped_order(t, t.root)
+    assert sorted(t.order) == sorted(t.vertices)
+    pos = {v: i for i, v in enumerate(t.order)}
+    assert all(pos[t.parent[v]] < pos[v] for v in t.order if v != t.root)
+    assert t.leaves == _leaves_left_to_right(t, t.root)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_walk_order_on_trees_and_slices(seed):
+    rng = random.Random(seed)
+    cat = random_tree_catalog(60, 80, rng.randint(6, 12), rng)
+    _check_walk(cat)
+    for _ in range(10):
+        root = rng.choice(sorted(cat.vertices))
+        cut = rng.choice([None, 0, 1, 2, rng.randint(3, 8)])
+        sub = SubTree(cat, root, cut)
+        _check_walk(sub)
+        # RootLeafDS draws its cuttings in this vertex order.
+        assert list(sub.vertices) == sub.order
+        for v in sub.order:
+            assert sub.depth[v] == cat.depth[v] - cat.depth[root]
+            assert sub.children[v] == ([] if sub.depth[v] == cut else cat.children[v])
+        if sub.height > 1:  # a slice of a slice, as the mid-tree recursion cuts
+            top = SubTree(sub, root, sub.height // 2)
+            _check_walk(top)
+            assert list(top.vertices) == top.order
 
 
 def test_heavy_paths_on_path_tree():

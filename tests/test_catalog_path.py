@@ -63,8 +63,10 @@ def test_vertex_not_on_path():
     p = random_point(cat.bbox, rng)
     with pytest.raises(UnknownVertex):  # not in the catalog at all
         ds.query(PathQuery(p, (0, 99)))
-    with pytest.raises(VertexNotOnPath):
-        ds.query(PathQuery(p, (0, 2)))  # not contiguous
+    for path in ((0, 2), (0, 2, 1)):  # not a walk along the chain
+        with pytest.raises(VertexNotOnPath):
+            ds.query(PathQuery(p, path))
+    assert ds.query(PathQuery(p, (3, 2, 1))) == oracle_query(cat, p, [3, 2, 1])
     head = PathDS([0, 1, 2, 3], cat.vertices)
     with pytest.raises(VertexNotOnPath):  # in the catalog, off this chain
         head.query(PathQuery(p, (3, 4)))

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from ofc2d.catalog.model import SubgraphQuery
 from ofc2d.cli import main
 from ofc2d.fileio import load_catalog, load_witness_shapes, save_queries
 from ofc2d.gen import random_point
@@ -145,8 +146,6 @@ def test_bench_subgraph_queries_on_graph(tmp_path):
     main(["gen", "--kind", "random-graph", "--vertices", "16", "--degree",
           "3", "--per-vertex", "8", "--seed", "9", "--out", str(inst)])
     g = load_catalog(inst)
-    from ofc2d.catalog.model import SubgraphQuery
-
     rng = random.Random(9)
     qs = []
     for _ in range(10):
@@ -161,6 +160,20 @@ def test_bench_subgraph_queries_on_graph(tmp_path):
     assert main(["bench", "--instance", str(inst), "--structure", "graph",
                  "--seed", "9", "--queries", str(qf), "--verify",
                  "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("structure", ["tree", "short-tree", "path"])
+def test_bench_subgraph_query_on_tree_exit_code(tmp_path, capsys, structure):
+    inst = tmp_path / "p.cat"
+    main(["gen", "--kind", "random-path", "--vertices", "6", "--per-vertex",
+          "8", "--seed", "3", "--out", str(inst)])
+    qf = tmp_path / "q.txt"
+    save_queries([SubgraphQuery(random_point(load_catalog(inst).bbox, random.Random(3)),
+                                frozenset({0, 1}))], qf)
+    assert main(["bench", "--instance", str(inst), "--structure", structure,
+                 "--seed", "3", "--queries", str(qf),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_seed_is_mandatory(tmp_path, capsys):
