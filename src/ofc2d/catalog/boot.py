@@ -14,7 +14,7 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import InvalidRounds
+from ..errors import InvalidParameter
 from .mid_tree import MidTreeDS
 from .model import CatalogTree, CatalogVertex, PathQuery, QueryAnswer, regime_heights
 
@@ -58,19 +58,13 @@ class _Layer:
 
 
 class BootstrappedDS:
-    __slots__ = ("tree", "h1", "h2", "base", "layers", "stored_entries")
+    __slots__ = ("h1", "h2", "base", "layers", "stored_entries")
 
-    def __init__(self, tree: CatalogTree, rounds: int,
-                 rng: random.Random | None = None, h1=None, h2=None):
+    def __init__(self, tree: CatalogTree, rounds: int, rng: random.Random):
         if rounds < 0:
-            raise InvalidRounds(f"rounds {rounds} < 0")
-        if rng is None:
-            rng = random.Random(0)
+            raise InvalidParameter(f"rounds {rounds} < 0")
         n = max(2, tree.n)
-        d1, d2 = regime_heights(n)
-        self.tree = tree
-        self.h1 = h1 if h1 is not None else d1
-        self.h2 = h2 if h2 is not None else d2
+        self.h1, self.h2 = regime_heights(n)
         self.base = MidTreeDS(tree, self.h1, self.h2, rng)
         self.stored_entries = self.base.stored_entries
         self.layers = []
@@ -110,7 +104,6 @@ class BootstrappedDS:
         out = {}
         for vid, cell_id in ans.by_vertex.items():
             for j in range(k, -1, -1):
-                cut = self.layers[j].cuttings[vid]
-                cell_id = cut.conflict_index(cell_id).locate(q.q, counters)
+                cell_id = self.layers[j].cuttings[vid].locate(cell_id, q.q, counters)
             out[vid] = cell_id
         return QueryAnswer(out)

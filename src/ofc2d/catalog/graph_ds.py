@@ -94,9 +94,7 @@ def subgraph_to_walk(g: CatalogGraph, query: SubgraphQuery, copy_map) -> PathQue
 class GraphDS(ChunkedStabDS):
     __slots__ = ("g", "copy_map")
 
-    def __init__(self, g: CatalogGraph, rng: random.Random | None = None):
-        if rng is None:
-            rng = random.Random(0)
+    def __init__(self, g: CatalogGraph, rng: random.Random):
         d = max(2, g.degree)
         self.g = g
         self.copy_map = copy_ids(g)

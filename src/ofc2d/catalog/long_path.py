@@ -8,8 +8,6 @@ cost is about log² n plus the blocked-structure cost along the path.
 
 from __future__ import annotations
 
-import math
-
 from .model import CatalogTree, PathQuery, QueryAnswer, check_path, heavy_path_decompose
 from .path_ds import PathDS
 
@@ -18,15 +16,13 @@ class LongPathDS:
     __slots__ = ("tree", "paths", "path_of", "structures", "stored_entries")
 
     def __init__(self, tree: CatalogTree):
-        logn = math.log2(max(2, tree.n))
         self.tree = tree
         self.paths = heavy_path_decompose(tree)
         self.path_of = {}
         for pi, p in enumerate(self.paths):
             for v in p:
                 self.path_of[v] = pi
-        block = max(1, math.ceil(logn))
-        self.structures = [PathDS(p, tree.vertices, block) for p in self.paths]
+        self.structures = [PathDS(tree, p) for p in self.paths]
         self.stored_entries = sum(s.stored_entries for s in self.structures)
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:

@@ -19,7 +19,7 @@ import math
 import random
 
 from ..cutting import cutting_build
-from ..errors import InvalidHeights, NotRootToLeaf, PointOutsideBBox
+from ..errors import InvalidParameter, NotRootToLeaf, PointOutsideBBox
 from ..stabbing import Stab3D
 from .model import (CatalogTree, PathQuery, QueryAnswer, assign_z_ranges, check_path,
                     check_vertices)
@@ -41,12 +41,10 @@ class SubTree(CatalogTree):
 class RootLeafDS:
     __slots__ = ("tree", "r", "H", "cuttings", "z", "stab", "stored_entries")
 
-    def __init__(self, tree, rng: random.Random | None = None):
+    def __init__(self, tree, rng: random.Random):
         n = max(2, tree.n)
         h = max(1, tree.height)
         logn = math.log2(n)
-        if rng is None:
-            rng = random.Random(0)
         self.tree = tree
         self.r = 2 ** math.ceil(logn / math.sqrt(h))
         denom = max(1.0, math.log2(max(2.0, n / self.r)))
@@ -85,9 +83,7 @@ class RootLeafDS:
             raise PointOutsideBBox(f"{q} outside the catalog bbox")
         out = {}
         for vid, cut, ci in hits:
-            rid = cut.conflict_index(ci).locate(q, counters)
-            if counters is not None:
-                counters.cells_located += 1
+            rid = cut.locate(ci, q, counters)
             if vid in wanted:
                 out[vid] = rid
         return out
@@ -161,12 +157,9 @@ class MidTreeDS:
     __slots__ = ("tree", "h1", "h2", "forest", "forest_of", "levels",
                  "stored_entries")
 
-    def __init__(self, tree: CatalogTree, h1: int, h2: int,
-                 rng: random.Random | None = None):
+    def __init__(self, tree: CatalogTree, h1: int, h2: int, rng: random.Random):
         if not 1 <= h1 < h2:
-            raise InvalidHeights(f"need 1 <= h1 < h2, got {h1}, {h2}")
-        if rng is None:
-            rng = random.Random(0)
+            raise InvalidParameter(f"need 1 <= h1 < h2, got {h1}, {h2}")
         self.tree = tree
         self.h1 = h1
         self.h2 = h2

@@ -1,6 +1,6 @@
-"""Query structure for catalog paths: blocks of consecutive vertices, one 2D
-stabbing structure per block over its vertices' rects, each stored with the
-payload (vertex, rect id).
+"""Query structure for catalog paths: blocks of ceil(log2 n) consecutive
+vertices, n the catalog's rect count, one 2D stabbing structure per block
+over its vertices' rects, each stored with the payload (vertex, rect id).
 
 A stab at q inside a block returns exactly one rect per block vertex (each
 vertex's tiling covers the box), so a path query touches about
@@ -17,25 +17,21 @@ from .model import CatalogTree, PathQuery, QueryAnswer, check_vertices
 
 
 class PathDS:
-    __slots__ = ("vertices", "order", "pos", "block_size", "blocks",
-                 "stored_entries")
+    __slots__ = ("vertices", "pos", "block_size", "blocks", "stored_entries")
 
-    def __init__(self, chain, vertices, block_size=None):
-        """``chain``: vertex ids in path order; ``vertices``: id -> CatalogVertex."""
-        if block_size is None:
-            n = max(2, sum(len(vertices[v].tiling) for v in chain))
-            block_size = max(1, math.ceil(math.log2(n)))
-        self.vertices = vertices
-        self.order = list(chain)
+    def __init__(self, tree: CatalogTree, chain):
+        """``chain``: a list of ``tree``'s vertex ids in path order."""
+        block_size = max(1, math.ceil(math.log2(max(2, tree.n))))
+        self.vertices = tree.vertices
         self.pos = {v: i for i, v in enumerate(chain)}
         self.block_size = block_size
         self.blocks = []
         self.stored_entries = 0
-        for b0 in range(0, len(self.order), block_size):
+        for b0 in range(0, len(chain), block_size):
             # Rect ids need only be unique within one vertex's tiling, so a
             # hit names its vertex too.
-            s = Stab2D((r, (v, r.id)) for v in self.order[b0:b0 + block_size]
-                       for r in vertices[v].tiling.rects)
+            s = Stab2D((r, (v, r.id)) for v in chain[b0:b0 + block_size]
+                       for r in tree.vertices[v].tiling.rects)
             self.blocks.append(s)
             self.stored_entries += s.stored_entries
 
@@ -77,4 +73,4 @@ def build_path_structure(tree: CatalogTree) -> PathDS:
         chain.append(kids[0])
     if len(chain) != len(tree.vertices):
         raise ValueError("catalog is not a simple path")
-    return PathDS(chain, tree.vertices)
+    return PathDS(tree, chain)

@@ -67,9 +67,7 @@ class ChunkedStabDS:
         for v in path:
             hit = direct.get(v)
             if hit is not None:
-                out[hit[0]] = hit[1].conflict_index(0).locate(q, counters)
-                if counters is not None:
-                    counters.cells_located += 1
+                out[hit[0]] = hit[1].locate(0, q, counters)
         cells = self.cells
         if cells:
             L = self.L
@@ -85,9 +83,7 @@ class ChunkedStabDS:
                 if counters is not None:
                     counters.structures_queried += 1
                 for k, cut, ci in hits:
-                    out[k] = cut.conflict_index(ci).locate(q, counters)
-                    if counters is not None:
-                        counters.cells_located += 1
+                    out[k] = cut.locate(ci, q, counters)
         # Cells tile the bbox, so only a point outside it is in none of them.
         if path and not out:
             raise PointOutsideBBox(f"{q} outside the catalog bbox")
@@ -97,9 +93,7 @@ class ChunkedStabDS:
 class ShortTreeDS(ChunkedStabDS):
     __slots__ = ("tree",)
 
-    def __init__(self, tree: CatalogTree, rng: random.Random | None = None):
-        if rng is None:
-            rng = random.Random(0)
+    def __init__(self, tree: CatalogTree, rng: random.Random):
         self.tree = tree
         self._init_engine(tree.n)
         for vid, v in tree.vertices.items():

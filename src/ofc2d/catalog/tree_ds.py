@@ -19,13 +19,10 @@ SHORT, MID, LONG = "short", "mid", "long"
 
 
 class TreeDS:
-    __slots__ = ("tree", "t1", "t2", "short", "mid", "long")
+    __slots__ = ("t1", "t2", "short", "mid", "long")
 
-    def __init__(self, tree: CatalogTree, rng: random.Random | None = None):
-        if rng is None:
-            rng = random.Random(0)
+    def __init__(self, tree: CatalogTree, rng: random.Random):
         n = max(2, tree.n)
-        self.tree = tree
         self.t1, self.t2 = regime_heights(n)
         # One bootstrap round, built only when its layer's window passes t1:
         # mid queries have more than t1 vertices, so a layer whose window

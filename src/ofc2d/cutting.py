@@ -1,10 +1,10 @@
 """Coarse covers with bounded conflict lists over a rectangle tiling.
 
-``cutting_build(source, r)`` returns ~r cells tiling the source bounding box
-such that each cell meets at most ``C_CONF * n / r`` source rects.  The
-construction samples source rects, trapezoidal-decomposes their merged edge
-set, splits any over-full cell at a median conflict edge, then verifies both
-budgets and retries with fresh randomness if they fail.
+``cutting_build(source, r, rng)`` returns ~r cells tiling the source
+bounding box such that each cell meets at most ``C_CONF * n / r`` source
+rects.  The construction samples source rects, trapezoidal-decomposes their
+merged edge set, splits any over-full cell at a median conflict edge, then
+verifies both budgets and retries with fresh randomness if they fail.
 """
 
 from __future__ import annotations
@@ -156,13 +156,12 @@ class Cutting:
     cached; ``conflicts[i]`` parallels ``cells.rects[i]``.
     """
 
-    __slots__ = ("cells", "conflicts", "source", "source_size", "target", "_ci")
+    __slots__ = ("cells", "conflicts", "source", "target", "_ci")
 
     def __init__(self, cells: Tiling, conflicts, source: Tiling, target: int):
         self.cells = cells
         self.conflicts = conflicts
         self.source = source
-        self.source_size = len(source)
         self.target = target
         self._ci = {}
 
@@ -176,6 +175,16 @@ class Cutting:
             self._ci[cell_idx] = ci
         return ci
 
+    def locate(self, cell_idx, p, counters=None) -> int:
+        """Id of the source rect containing point ``p`` of cell ``cell_idx``,
+        found in the cell's conflict index; counts one located cell."""
+        ci = self._ci.get(cell_idx)
+        if ci is None:
+            ci = self.conflict_index(cell_idx)
+        if counters is not None:
+            counters.cells_located += 1
+        return ci.locate(p, counters)
+
     def max_conflict(self):
         return max((len(c) for c in self.conflicts), default=0)
 
@@ -183,7 +192,7 @@ class Cutting:
 def verify_cutting(c: Cutting, check_coverage=True):
     """The post-build verification pass; raises ValueError on any violation."""
     validate_tiling(c.cells)
-    n, r = c.source_size, c.target
+    n, r = len(c.source), c.target
     if len(c.cells) > C_CUT * r:
         raise ValueError(f"{len(c.cells)} cells exceeds budget {C_CUT * r}")
     budget = C_CONF * n / r
@@ -202,12 +211,10 @@ def verify_cutting(c: Cutting, check_coverage=True):
                 raise ValueError(f"cell {i} not exactly covered by its conflicts")
 
 
-def cutting_build(source: Tiling, r: int, rng: random.Random | None = None) -> Cutting:
+def cutting_build(source: Tiling, r: int, rng: random.Random) -> Cutting:
     n = len(source)
     if not 1 <= r <= n:
         raise InvalidParameter(f"r={r} outside [1, {n}]")
-    if rng is None:
-        rng = random.Random(0)
     bbox = source.bbox
     if r == 1:
         cells = Tiling(bbox, [Rect(0, bbox.xlo, bbox.xhi, bbox.ylo, bbox.yhi)])

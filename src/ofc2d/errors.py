@@ -17,10 +17,6 @@ class PointOutsideBBox(Ofc2dError):
     """Query point is not inside the structure's bounding box."""
 
 
-class InvalidFanout(Ofc2dError):
-    """Range-tree fan-out parameter below 2."""
-
-
 class InvalidParameter(Ofc2dError):
     """A numeric parameter is outside its allowed range."""
 
@@ -30,14 +26,6 @@ class RetryExhausted(Ofc2dError):
 
     This signals a bug (or an invalid input), not bad luck.
     """
-
-
-class InvalidHeights(Ofc2dError):
-    """h1/h2 window parameters are inconsistent."""
-
-
-class InvalidRounds(Ofc2dError):
-    """Bootstrap round count is negative."""
 
 
 class NotRootToLeaf(Ofc2dError):

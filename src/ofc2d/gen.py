@@ -71,7 +71,8 @@ def _split_sizes(total: int, m: int, rng: random.Random):
     return sizes
 
 
-def _attach_tilings(bbox, adjacency, root, sizes, rng, tree=True, degree=3):
+def _attach_tilings(adjacency, root, sizes, rng, tree=True, degree=3):
+    bbox = default_bbox(sum(sizes))
     vertices = {}
     next_id = 0
     for vid, k in enumerate(sizes):
@@ -83,21 +84,19 @@ def _attach_tilings(bbox, adjacency, root, sizes, rng, tree=True, degree=3):
     return CatalogGraph(vertices, degree)
 
 
-def random_path_catalog(n_vertices: int, total_rects: int, rng: random.Random,
-                        bbox: Rect | None = None) -> CatalogTree:
+def random_path_catalog(n_vertices: int, total_rects: int,
+                        rng: random.Random) -> CatalogTree:
     """Chain-shaped catalog tree (a catalog path) with ``total_rects`` overall."""
-    if bbox is None:
-        bbox = default_bbox(total_rects)
     adjacency = {i: [] for i in range(n_vertices)}
     for i in range(n_vertices - 1):
         adjacency[i].append(i + 1)
         adjacency[i + 1].append(i)
     sizes = _split_sizes(total_rects, n_vertices, rng)
-    return _attach_tilings(bbox, adjacency, 0, sizes, rng)
+    return _attach_tilings(adjacency, 0, sizes, rng)
 
 
 def random_tree_catalog(n_vertices: int, total_rects: int, height: int,
-                        rng: random.Random, bbox: Rect | None = None) -> CatalogTree:
+                        rng: random.Random) -> CatalogTree:
     """Random binary catalog tree with the exact requested height.
 
     A chain of ``height`` edges pins the height; remaining vertices attach
@@ -105,8 +104,6 @@ def random_tree_catalog(n_vertices: int, total_rects: int, height: int,
     """
     if height > n_vertices - 1:
         raise ValueError("height exceeds vertex budget")
-    if bbox is None:
-        bbox = default_bbox(total_rects)
     adjacency = {i: [] for i in range(n_vertices)}
     depth = {0: 0}
     children = {i: 0 for i in range(n_vertices)}
@@ -132,17 +129,15 @@ def random_tree_catalog(n_vertices: int, total_rects: int, height: int,
         if depth[v] < height:
             slots.append(v)
     sizes = _split_sizes(total_rects, n_vertices, rng)
-    return _attach_tilings(bbox, adjacency, 0, sizes, rng)
+    return _attach_tilings(adjacency, 0, sizes, rng)
 
 
 def random_graph_catalog(n_vertices: int, total_rects: int, degree: int,
-                         rng: random.Random, extra_edges: int | None = None,
-                         bbox: Rect | None = None) -> CatalogGraph:
-    """Connected random catalog graph with maximum degree ``degree``."""
+                         rng: random.Random) -> CatalogGraph:
+    """Connected random catalog graph with maximum degree ``degree``: a
+    random spanning tree plus up to ``n_vertices // 4`` extra edges."""
     if degree < 2:
         raise ValueError("degree bound must be >= 2")
-    if bbox is None:
-        bbox = default_bbox(total_rects)
     adjacency = {i: set() for i in range(n_vertices)}
     order = list(range(1, n_vertices))
     rng.shuffle(order)
@@ -155,9 +150,7 @@ def random_graph_catalog(n_vertices: int, total_rects: int, degree: int,
         adjacency[u].add(v)
         adjacency[v].add(u)
         placed.append(v)
-    if extra_edges is None:
-        extra_edges = n_vertices // 4
-    for _ in range(extra_edges):
+    for _ in range(n_vertices // 4):
         u = rng.randrange(n_vertices)
         v = rng.randrange(n_vertices)
         if u == v or v in adjacency[u]:
@@ -167,7 +160,7 @@ def random_graph_catalog(n_vertices: int, total_rects: int, degree: int,
             adjacency[v].add(u)
     sizes = _split_sizes(total_rects, n_vertices, rng)
     adj_lists = {v: sorted(s) for v, s in adjacency.items()}
-    return _attach_tilings(bbox, adj_lists, None, sizes, rng, tree=False, degree=degree)
+    return _attach_tilings(adj_lists, None, sizes, rng, tree=False, degree=degree)
 
 
 def default_bbox(total_rects: int) -> Rect:

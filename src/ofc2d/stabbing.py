@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 
-from .errors import InvalidFanout
+from .errors import InvalidParameter
 from .geometry import Point
 from .intervals import IntervalTree1D
 
@@ -73,7 +73,7 @@ class Stab3D:
 
     def __init__(self, items, H: int):
         if H < 2:
-            raise InvalidFanout(f"fan-out {H} < 2")
+            raise InvalidParameter(f"fan-out {H} < 2")
         items = list(items)
         zs = sorted({z for _, zlo, zhi, _ in items for z in (zlo, zhi)})
         self.zs = zs

@@ -7,7 +7,7 @@ from ofc2d.catalog.boot import BootstrappedDS, f_chain
 from ofc2d.catalog.mid_tree import MidTreeDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import InvalidRounds
+from ofc2d.errors import InvalidParameter
 from ofc2d.gen import random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
@@ -33,7 +33,7 @@ def test_f_chain_values():
 def test_invalid_rounds():
     rng = random.Random(1)
     cat = random_tree_catalog(20, 256, 8, rng)
-    with pytest.raises(InvalidRounds):
+    with pytest.raises(InvalidParameter):
         BootstrappedDS(cat, -1, rng)
 
 
@@ -68,16 +68,22 @@ def test_layer_cells_strictly_shrink():
 def test_bootstrapped_queries_match_oracle():
     rng = random.Random(5)
     cat = random_tree_catalog(120, 4096, 20, rng)
-    # Default h1 sits above the first layer's window at this size; lower it
-    # so the layered fast path actually gets exercised.
-    ds = BootstrappedDS(cat, 2, rng, h1=3, h2=73)
+    ds = BootstrappedDS(cat, 2, rng)
     layered = 0
-    for path in mid_paths(cat, rng, ds.h1, min(ds.h2, 21), 100):
+    # Layer 0's window (5 vertices at this size) ends below h1, so only paths
+    # that short route to a layer.
+    for path in mid_paths(cat, rng, 2, 21, 100):
         q = PathQuery(random_point(cat.bbox, rng), path)
         c = WorkCounters()
         assert ds.query(q, c) == oracle_query(cat, q.q, path)
-        if ds.route(len(path)) >= 0:
+        k = ds.route(len(path))
+        if k >= 0:
             layered += 1
+            # Drilling an answer down through layers k..0 locates one cell
+            # per layer per vertex.
+            in_layer = WorkCounters()
+            ds.layers[k].mid.query(q, in_layer)
+            assert c.cells_located == in_layer.cells_located + len(path) * (k + 1)
     assert layered > 0  # the layered fast path was actually exercised
 
 

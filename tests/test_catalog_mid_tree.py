@@ -6,7 +6,7 @@ import pytest
 from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import InvalidHeights, NotRootToLeaf
+from ofc2d.errors import InvalidParameter, NotRootToLeaf
 from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
@@ -59,7 +59,7 @@ def test_rootleaf_rejects_partial_path():
 def test_midtree_invalid_heights():
     rng = random.Random(5)
     cat = random_tree_catalog(10, 64, 4, rng)
-    with pytest.raises(InvalidHeights):
+    with pytest.raises(InvalidParameter):
         MidTreeDS(cat, 4, 4, rng)
 
 

@@ -67,7 +67,7 @@ def test_vertex_not_on_path():
         with pytest.raises(VertexNotOnPath):
             ds.query(PathQuery(p, path))
     assert ds.query(PathQuery(p, (3, 2, 1))) == oracle_query(cat, p, [3, 2, 1])
-    head = PathDS([0, 1, 2, 3], cat.vertices)
+    head = PathDS(cat, [0, 1, 2, 3])
     with pytest.raises(VertexNotOnPath):  # in the catalog, off this chain
         head.query(PathQuery(p, (3, 4)))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ofc2d.config import C_STAB2, C_STAB3
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import InvalidFanout
+from ofc2d.errors import InvalidParameter
 from ofc2d.geometry import Point, Rect
 from ofc2d.stabbing import Stab2D, Stab3D
 
@@ -76,7 +76,7 @@ def test_stab2d_output_sensitive_counters():
 
 
 def test_stab3d_rejects_bad_fanout():
-    with pytest.raises(InvalidFanout):
+    with pytest.raises(InvalidParameter):
         Stab3D([], 1)
 
 
