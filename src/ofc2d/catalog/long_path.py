@@ -8,6 +8,8 @@ cost is about log² n plus the blocked-structure cost along the path.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .model import CatalogTree, PathQuery, QueryAnswer, check_path, heavy_path_decompose
 from .path_ds import PathDS
 
@@ -28,15 +30,8 @@ class LongPathDS:
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         path = q.path
         check_path(self.tree, path)
-        runs = []
-        for v in path:
-            pi = self.path_of[v]
-            if runs and runs[-1][0] == pi:
-                runs[-1][1].append(v)
-            else:
-                runs.append((pi, [v]))
         out = {}
-        for pi, run in runs:
+        for pi, run in groupby(path, self.path_of.__getitem__):
             # One heavy-path structure per run; the blocked structure's inner
             # block queries are accounted as stabbing work, not structures.
             before = counters.structures_queried if counters is not None else 0

@@ -36,8 +36,9 @@ class PathDS:
             self.stored_entries += s.stored_entries
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
+        pos = self.pos
         try:
-            idxs = [self.pos[v] for v in q.path]
+            idxs = list(map(pos.__getitem__, q.path))
         except KeyError as e:
             check_vertices(self.vertices, q.path)
             raise VertexNotOnPath(f"vertex {e.args[0]} not on the catalog path")
@@ -48,9 +49,9 @@ class PathDS:
         if idxs != list(range(first, last + step, step)):
             raise VertexNotOnPath("query path is not a walk along the catalog path")
         lo, hi = min(first, last), max(first, last)
-        wanted = set(q.path)
+        b_lo, b_hi = lo // self.block_size, hi // self.block_size
         out = {}
-        for b in range(lo // self.block_size, hi // self.block_size + 1):
+        for b in range(b_lo, b_hi + 1):
             hits = self.blocks[b].query(q.q, counters)
             if counters is not None:
                 counters.structures_queried += 1
@@ -58,9 +59,13 @@ class PathDS:
             # outside it is in no rect.
             if not hits:
                 raise PointOutsideBBox(f"{q.q} outside the catalog bbox")
-            for v, rid in hits:
-                if v in wanted:
-                    out[v] = rid
+            if b_lo < b < b_hi:
+                # An interior block holds only vertices of the walk.
+                out.update(hits)
+            else:
+                for v, rid in hits:
+                    if lo <= pos[v] <= hi:
+                        out[v] = rid
         return QueryAnswer(out)
 
 

@@ -11,10 +11,11 @@ class IntervalTree1D:
 
     Each node keeps the intervals crossing its center, sorted by lo ascending
     and by hi descending, so a stab enumerates exactly the hits plus one
-    overshoot per node.
+    overshoot per node.  ``up`` is set only on a tree that Stab2D stores at a
+    segment-tree node: the nearest non-empty tree above it, or None.
     """
 
-    __slots__ = ("center", "by_lo", "by_hi_desc", "left", "right", "size")
+    __slots__ = ("center", "by_lo", "by_hi_desc", "left", "right", "size", "up")
 
     def __init__(self, items):
         items = list(items)

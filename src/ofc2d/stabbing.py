@@ -20,13 +20,19 @@ from .intervals import IntervalTree1D
 
 
 class Stab2D:
-    __slots__ = ("xs", "m", "trees", "stored_entries")
+    """Segment tree over x elementary intervals with an IntervalTree1D per
+    non-empty node, stored flat: per x slab, the depth of its leaf
+    (``depth``) and the deepest non-empty tree on its root-to-leaf path
+    (``deepest``).  Each tree's ``up`` links the nearest non-empty tree above
+    it, so a query stabs exactly the trees of its slab's path."""
+
+    __slots__ = ("xs", "depth", "deepest", "stored_entries")
 
     def __init__(self, items):
         items = list(items)
         xs = sorted({x for r, _ in items for x in (r.xlo, r.xhi)})
         self.xs = xs
-        self.m = max(1, len(xs) - 1)
+        m = max(1, len(xs) - 1)
         buckets = {}
 
         def insert(node, nl, nr, l, r, item):
@@ -42,29 +48,43 @@ class Stab2D:
         for rect, payload in items:
             l = bisect.bisect_left(xs, rect.xlo)
             r = bisect.bisect_left(xs, rect.xhi)
-            insert(1, 0, self.m, l, r, (rect.ylo, rect.yhi, payload))
-        self.trees = {node: IntervalTree1D(b) for node, b in buckets.items()}
-        self.stored_entries = sum(t.size for t in self.trees.values())
+            insert(1, 0, m, l, r, (rect.ylo, rect.yhi, payload))
+        trees = {node: IntervalTree1D(b) for node, b in buckets.items()}
+        self.stored_entries = sum(t.size for t in trees.values())
+        depth = bytearray(m)
+        deepest = [None] * m
+
+        def flatten(node, nl, nr, d, up):
+            t = trees.get(node)
+            if t is not None:
+                t.up = up
+                up = t
+            if nr - nl <= 1:
+                depth[nl] = d
+                deepest[nl] = up
+                return
+            mid = (nl + nr) // 2
+            flatten(2 * node, nl, mid, d + 1, up)
+            flatten(2 * node + 1, mid, nr, d + 1, up)
+
+        flatten(1, 0, m, 1, None)
+        self.depth = bytes(depth)
+        self.deepest = deepest
 
     def query(self, q: Point, counters=None) -> list:
         out = []
         i = bisect.bisect_right(self.xs, q.x) - 1
         if i < 0 or i >= len(self.xs) - 1:
             return out
-        node, nl, nr = 1, 0, self.m
-        while True:
-            if counters is not None:
-                counters.stab_nodes_visited += 1
-            t = self.trees.get(node)
-            if t is not None:
-                t.stab(q.y, out, counters)
-            if nr - nl <= 1:
-                break
-            mid = (nl + nr) // 2
-            if i < mid:
-                node, nr = 2 * node, mid
-            else:
-                node, nl = 2 * node + 1, mid
+        # Every node on the slab's path counts as visited, as in a walk from
+        # the root; only the non-empty ones are stabbed, leaf first.
+        if counters is not None:
+            counters.stab_nodes_visited += self.depth[i]
+        t = self.deepest[i]
+        y = q.y
+        while t is not None:
+            t.stab(y, out, counters)
+            t = t.up
         return out
 
 

@@ -2,14 +2,18 @@
 
 Everything here is deliberately slow and simple, and shares no logic with the
 library beyond raw coordinate arithmetic, so a library bug cannot hide in its
-own reference.
+own reference.  The one exception is ``stab2d_walk``, which stabs the
+library's IntervalTree1D because that tree's node visits are part of the
+counter it checks.
 """
 
+import bisect
 import random
 
 from hypothesis import strategies as st
 
 from ofc2d.geometry import HORIZONTAL, VERTICAL, Rect, Segment, SlabIndex, Tiling
+from ofc2d.intervals import IntervalTree1D
 
 
 def _ray_stop_up(x, y, horiz, vert, yhi):
@@ -173,6 +177,51 @@ def stab_oracle_3d(items, p, z):
         and r.ylo <= p.y < r.yhi
         and zlo <= z < zhi
     ]
+
+
+def stab2d_walk(items):
+    """Reference for Stab2D.query as a root-to-leaf walk: a segment tree over
+    the x elementary intervals, one IntervalTree1D per non-empty node kept in
+    a dict, and a walk that counts every node on the path as one stab node
+    and stabs the trees it meets.  Returns ``query(p, counters)``."""
+    xs = sorted({x for r, _ in items for x in (r.xlo, r.xhi)})
+    m = max(1, len(xs) - 1)
+    buckets = {}
+
+    def insert(node, nl, nr, l, r, item):
+        if l <= nl and nr <= r:
+            buckets.setdefault(node, []).append(item)
+            return
+        mid = (nl + nr) // 2
+        if l < mid:
+            insert(2 * node, nl, mid, l, r, item)
+        if r > mid:
+            insert(2 * node + 1, mid, nr, l, r, item)
+
+    for rect, payload in items:
+        insert(1, 0, m, bisect.bisect_left(xs, rect.xlo),
+               bisect.bisect_left(xs, rect.xhi), (rect.ylo, rect.yhi, payload))
+    trees = {node: IntervalTree1D(b) for node, b in buckets.items()}
+
+    def query(p, counters):
+        out = []
+        i = bisect.bisect_right(xs, p.x) - 1
+        if i < 0 or i >= len(xs) - 1:
+            return out
+        node, nl, nr = 1, 0, m
+        while True:
+            counters.stab_nodes_visited += 1
+            if node in trees:
+                trees[node].stab(p.y, out, counters)
+            if nr - nl <= 1:
+                return out
+            mid = (nl + nr) // 2
+            if i < mid:
+                node, nr = 2 * node, mid
+            else:
+                node, nl = 2 * node + 1, mid
+
+    return query
 
 
 def bbox_of(side):

@@ -7,6 +7,7 @@ from ofc2d.catalog.long_path import LongPathDS
 from ofc2d.catalog.model import PathQuery, regime_heights
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
+from ofc2d.errors import VertexNotOnPath
 from ofc2d.gen import random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
@@ -70,6 +71,23 @@ def test_root_to_leaf_heavy_path_bound():
     ans = ds.query(PathQuery(p, path), c)
     assert ans == oracle_query(cat, p, path)
     assert c.structures_queried <= logn + 1
+
+
+def test_long_rejects_non_walks():
+    cat, rng = tall_catalog(8)
+    ds = LongPathDS(cat)
+    assert len(ds.paths) > 1
+    p = next(p for p in ds.paths if len(p) >= 3)
+    q = random_point(cat.bbox, rng)
+    # Skips p[1] inside one heavy path.
+    with pytest.raises(VertexNotOnPath):
+        ds.query(PathQuery(q, (p[0], p[2])))
+    # Steps from one heavy path to a vertex of another that is not adjacent.
+    a = ds.paths[0][0]
+    b = next(v for other in ds.paths[1:] for v in other
+             if v not in cat.vertices[a].adjacency)
+    with pytest.raises(VertexNotOnPath):
+        ds.query(PathQuery(q, (a, b)))
 
 
 def test_dispatcher_all_regimes_match_oracle():

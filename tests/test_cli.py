@@ -125,6 +125,19 @@ def test_bench_verify_all_match(tmp_path):
     assert rows[-1][0] == "summary"
 
 
+def test_bench_without_verify_claims_no_match(tmp_path):
+    inst = tmp_path / "t.cat"
+    main(["gen", "--kind", "random-tree", "--vertices", "24", "--height", "5",
+          "--per-vertex", "16", "--seed", "6", "--out", str(inst)])
+    out = tmp_path / "r.csv"
+    assert main(["bench", "--instance", str(inst), "--structure", "tree",
+                 "--seed", "6", "--count", "5", "--out", str(out)]) == 0
+    with out.open() as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 7 and rows[-1][0] == "summary"
+    assert all(r[-1] == "" for r in rows[1:])
+
+
 def test_bench_reproducible_counters(tmp_path):
     inst = tmp_path / "t.cat"
     main(["gen", "--kind", "random-tree", "--vertices", "24", "--height", "5",

@@ -10,7 +10,7 @@ from ofc2d.errors import InvalidParameter
 from ofc2d.geometry import Point, Rect
 from ofc2d.stabbing import Stab2D, Stab3D
 
-from helpers import stab_oracle_2d, stab_oracle_3d
+from helpers import stab2d_walk, stab_oracle_2d, stab_oracle_3d
 
 
 def random_rects(count, rng, span=1000):
@@ -47,13 +47,34 @@ def test_stab2d_single():
     assert s.query(Point(0, 0)) == [7]
 
 
-def test_stab2d_random_matches_oracle():
+def _points(kind, rects, rng):
+    xs = sorted({x for r, _ in rects for x in (r.xlo, r.xhi)})
+    ys = sorted({y for r, _ in rects for y in (r.ylo, r.yhi)})
+    if kind == "random":
+        return [Point(rng.randint(-10, 1300), rng.randint(-10, 1300)) for _ in range(200)]
+    if kind == "slab_edges":
+        return [Point(rng.choice(xs), rng.choice(ys)) for _ in range(200)]
+    if kind == "high_edge":
+        return [Point(xs[-1] - d, rng.choice(ys)) for d in (0, 1) for _ in range(20)]
+    assert kind == "outside"
+    return [Point(x, rng.randint(0, 1000)) for x in (xs[0] - 1, xs[-1] + 1)
+            for _ in range(20)]
+
+
+@pytest.mark.parametrize("kind", ["random", "slab_edges", "high_edge", "outside"])
+def test_stab2d_random_matches_oracle(kind):
+    """Hits match the linear scan, and the flat slab paths charge the same
+    stab nodes as the root-to-leaf walk."""
     rng = random.Random(3)
     rects = random_rects(100, rng)
     s = Stab2D(rects)
-    for _ in range(200):
-        p = Point(rng.randint(-10, 1300), rng.randint(-10, 1300))
-        assert sorted(s.query(p)) == sorted(stab_oracle_2d(rects, p))
+    walk = stab2d_walk(rects)
+    for p in _points(kind, rects, rng):
+        c, cw = WorkCounters(), WorkCounters()
+        hits = sorted(s.query(p, c))
+        assert hits == sorted(stab_oracle_2d(rects, p))
+        assert hits == sorted(walk(p, cw))
+        assert c == cw
 
 
 def test_stab2d_entry_bound():

@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print one digest per benchmark instance, to show that a change left every
+structure's behaviour as it was.
+
+Run from the repository root::
+
+    python3 tools/fingerprint.py
+
+For seed-1 instances 0-4 of every workload in ``perfbench/run.py``, the
+instance is loaded and built through that script's ``set_up``.  Its query
+stream then runs once on the fresh structure, each query with its own
+``WorkCounters``.  The SHA-256 digest covers, in stream order, every answer
+(sorted vertex -> rect id pairs, or the type of the ``Ofc2dError`` raised) and
+the four counters, followed by ``space()`` once the pass is over.  The lines
+printed are ``<workload> <instance> <digest>``.
+
+To compare two commits, run the script in a checkout of each and diff the
+outputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 1
+INSTANCES = range(5)
+
+
+def fingerprint(run, name, spec, k):
+    """Digest of instance ``k`` of workload ``name``; ``run`` is the
+    imported ``perfbench/run.py``."""
+    from ofc2d.counters import WorkCounters
+    from ofc2d.errors import Ofc2dError
+
+    _, _, ds, stream = run.set_up(name, spec, SEED, k)
+    h = hashlib.sha256()
+    for q in stream:
+        c = WorkCounters()
+        try:
+            ans = sorted(ds.query(q, c).by_vertex.items())
+        except Ofc2dError as e:
+            ans = type(e).__name__
+        h.update(repr((ans, c.stab_nodes_visited, c.pl_comparisons,
+                       c.structures_queried, c.cells_located)).encode())
+    h.update(repr(run.space(ds)).encode())
+    return h.hexdigest()
+
+
+def main():
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+
+    run._import_library()
+    for name, spec in run.WORKLOADS.items():
+        for k in INSTANCES:
+            print(name, k, fingerprint(run, name, spec, k), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
