@@ -10,7 +10,8 @@ MidTreeDS covers arbitrary mid-length paths: the tree is cut into a forest at
 depth multiples of h2, each forest tree carries a halving recursion of
 RootLeafDS instances, and a query splits at its apex into two descending
 halves answered level by level (extended to a full root-to-leaf query at the
-truncation level, with the extra answers discarded but counted).
+truncation level, whose stab hits outside the path are skipped unlocated).
+Each path vertex is located exactly once.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class RootLeafDS:
         return QueryAnswer(self.locate_along(q.q, q.path[-1], set(q.path), counters))
 
     def locate_along(self, q, end_vid, wanted, counters=None) -> dict:
-        """Locate q at every ancestor of a leaf under ``end_vid``; keep the
-        vertices in ``wanted``, discard (but still pay for) the rest."""
+        """Locate q at the ancestors of a leaf under ``end_vid`` that are in
+        ``wanted``; the stab still reports (and counts) every ancestor, but
+        the others are not located."""
         hits = self.stab.query(q, self.z[end_vid][0], counters)
         if counters is not None:
             counters.structures_queried += 1
@@ -81,12 +83,8 @@ class RootLeafDS:
         # it is in no box.
         if not hits:
             raise PointOutsideBBox(f"{q} outside the catalog bbox")
-        out = {}
-        for vid, cut, ci in hits:
-            rid = cut.locate(ci, q, counters)
-            if vid in wanted:
-                out[vid] = rid
-        return out
+        return {vid: cut.locate(ci, q, counters)
+                for vid, cut, ci in hits if vid in wanted}
 
 
 class _RecNode:
@@ -121,8 +119,10 @@ class _RecNode:
             total += b.stored_entries()
         return total
 
-    def answer_seg(self, q, seg, out, counters):
-        """Answer a descending path ``seg`` inside this node's tree."""
+    def answer_seg(self, q, seg, out, counters, skip=0):
+        """Answer a descending path ``seg`` inside this node's tree, locating
+        only ``seg[skip:]``: a split's bottom half starts at the cut vertex,
+        which its top half has located already."""
         node = self
         while True:
             sub = node.sub
@@ -130,8 +130,8 @@ class _RecNode:
             if node.top is None or (sub.depth[a] == 0 and not sub.children[b]):
                 # A complete root-to-leaf path is one exact query; at the
                 # truncation level the query is extended to a full
-                # root-to-leaf one and the answers outside seg are discarded.
-                out.update(node.rl.locate_along(q, b, set(seg), counters))
+                # root-to-leaf one and only the vertices of seg are located.
+                out.update(node.rl.locate_along(q, b, set(seg[skip:]), counters))
                 return
             cut = node.cut
             if sub.depth[b] <= cut:
@@ -141,9 +141,11 @@ class _RecNode:
                 # containing the segment (its root is on or above seg[0]).
                 node = node.bottoms[node._bottom_root(a)]
             else:
-                j = next(i for i, v in enumerate(seg) if sub.depth[v] == cut)
-                node.top.answer_seg(q, seg[: j + 1], out, counters)
+                # seg descends one depth per vertex, so seg[j] is at the cut.
+                j = cut - sub.depth[a]
+                node.top.answer_seg(q, seg[: j + 1], out, counters, skip)
                 seg = seg[j:]
+                skip = 1
                 node = node.bottoms[seg[0]]
 
     def _bottom_root(self, v):
@@ -181,19 +183,18 @@ class MidTreeDS:
         check_path(t, path)
         if not path:
             return QueryAnswer({})
-        k = min(range(len(path)), key=lambda i: t.depth[path[i]])
-        halves = [list(reversed(path[: k + 1])), list(path[k + 1:])]
+        depths = list(map(t.depth.__getitem__, path))
+        apex = min(depths)
+        k = depths.index(apex)
+        h2 = self.h2
         out = {}
-        for half in halves:
+        for half, d in ((path[k::-1], apex), (path[k + 1:], apex + 1)):
             if not half:
                 continue
-            # Split where the half crosses a forest boundary.
-            segs = [[half[0]]]
-            for v in half[1:]:
-                if t.depth[v] % self.h2 == 0:
-                    segs.append([v])
-                else:
-                    segs[-1].append(v)
-            for seg in segs:
+            # The half descends one depth per vertex from depth d, so it
+            # crosses a forest boundary at every depth multiple of h2 below d.
+            cuts = [0, *range(h2 - d % h2, len(half), h2), len(half)]
+            for i, e in zip(cuts, cuts[1:]):
+                seg = half[i:e]
                 self.forest[self.forest_of[seg[0]]].answer_seg(q.q, seg, out, counters)
         return QueryAnswer(out)

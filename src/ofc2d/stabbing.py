@@ -7,7 +7,8 @@ takes ``(rect, zlo, zhi, payload)`` tuples and is a fan-out-H range tree over
 z elementary intervals with one Stab2D per node.  Both store a box at the
 canonical nodes of its range, and one search path meets at most one of them,
 so a query returns a list holding each containing box's payload exactly once
-with no post-filtering.
+with no post-filtering.  Both store each slab's search path flat at build
+time, so a query is one bisect followed by the non-empty nodes of its path.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ class Stab2D:
     non-empty node, stored flat: per x slab, the depth of its leaf
     (``depth``) and the deepest non-empty tree on its root-to-leaf path
     (``deepest``).  Each tree's ``up`` links the nearest non-empty tree above
-    it, so a query stabs exactly the trees of its slab's path."""
+    it, so a query stabs exactly the trees of its slab's path.  ``up`` is set
+    only on a Stab2D that Stab3D stores at a range-tree node: the nearest
+    non-empty Stab2D above it, or None."""
 
-    __slots__ = ("xs", "depth", "deepest", "stored_entries")
+    __slots__ = ("xs", "depth", "deepest", "stored_entries", "up")
 
     def __init__(self, items):
         items = list(items)
@@ -89,7 +92,13 @@ class Stab2D:
 
 
 class Stab3D:
-    __slots__ = ("zs", "m", "children", "stabs", "ranges", "stored_entries")
+    """Fan-out-H range tree over z elementary intervals with a Stab2D per
+    non-empty node, stored flat like Stab2D: per z slab, the number of
+    range-tree nodes on its root-to-leaf path (``zdepth``) and the deepest
+    non-empty Stab2D on that path (``zdeepest``).  Nodes exist only where an
+    insert split a range, so a path ends at its first unsplit node."""
+
+    __slots__ = ("zs", "zdepth", "zdeepest", "stored_entries")
 
     def __init__(self, items, H: int):
         if H < 2:
@@ -97,34 +106,34 @@ class Stab3D:
         items = list(items)
         zs = sorted({z for _, zlo, zhi, _ in items for z in (zlo, zhi)})
         self.zs = zs
-        self.m = max(1, len(zs) - 1)
+        m = max(1, len(zs) - 1)
         # Node 0 is the root; each node's children partition its elementary
         # z-interval range into at most H near-equal contiguous chunks.
-        self.ranges = [(0, self.m)]
-        self.children = [[]]
+        ranges = [(0, m)]
+        children = [[]]
         buckets = {}
 
         def kids(node):
-            if self.children[node]:
-                return self.children[node]
-            nl, nr = self.ranges[node]
+            if children[node]:
+                return children[node]
+            nl, nr = ranges[node]
             if nr - nl <= 1:
                 return []
             span = nr - nl
             step = -(-span // H)
             for a in range(nl, nr, step):
-                self.ranges.append((a, min(a + step, nr)))
-                self.children[node].append(len(self.ranges) - 1)
-                self.children.append([])
-            return self.children[node]
+                ranges.append((a, min(a + step, nr)))
+                children[node].append(len(ranges) - 1)
+                children.append([])
+            return children[node]
 
         def insert(node, l, r, item):
-            nl, nr = self.ranges[node]
+            nl, nr = ranges[node]
             if l <= nl and nr <= r:
                 buckets.setdefault(node, []).append(item)
                 return
             for c in kids(node):
-                cl, cr = self.ranges[c]
+                cl, cr = ranges[c]
                 if l < cr and cl < r:
                     insert(c, l, r, item)
 
@@ -132,34 +141,39 @@ class Stab3D:
             l = bisect.bisect_left(zs, zlo)
             r = bisect.bisect_left(zs, zhi)
             insert(0, l, r, (rect, payload))
-        self.stabs = {node: Stab2D(b) for node, b in buckets.items()}
-        self.stored_entries = sum(s.stored_entries for s in self.stabs.values())
+        stabs = {node: Stab2D(b) for node, b in buckets.items()}
+        self.stored_entries = sum(s.stored_entries for s in stabs.values())
+        zdepth = bytearray(m)
+        zdeepest = [None] * m
+
+        def flatten(node, d, up):
+            s = stabs.get(node)
+            if s is not None:
+                s.up = up
+                up = s
+            if not children[node]:
+                nl, nr = ranges[node]
+                zdepth[nl:nr] = bytes([d]) * (nr - nl)
+                zdeepest[nl:nr] = [up] * (nr - nl)
+                return
+            for c in children[node]:
+                flatten(c, d + 1, up)
+
+        flatten(0, 1, None)
+        self.zdepth = bytes(zdepth)
+        self.zdeepest = zdeepest
 
     def query(self, q: Point, z: int, counters=None) -> list:
         out = []
-        for node in self.z_path(z):
-            if counters is not None:
-                counters.stab_nodes_visited += 1
-            s = self.stabs.get(node)
-            if s is not None:
-                out += s.query(q, counters)
-        return out
-
-    def z_path(self, z: int) -> list:
-        """Range-tree nodes whose z range holds ``z``, root first; empty when
-        ``z`` is outside the span of the stored boxes' z ranges."""
         i = bisect.bisect_right(self.zs, z) - 1
         if i < 0 or i >= len(self.zs) - 1:
-            return []
-        path = []
-        node = 0
-        while node is not None:
-            path.append(node)
-            nxt = None
-            for c in self.children[node]:
-                cl, cr = self.ranges[c]
-                if cl <= i < cr:
-                    nxt = c
-                    break
-            node = nxt
-        return path
+            return out
+        # Every node on the slab's path counts as visited, as in a walk from
+        # the root; only the non-empty ones are queried, deepest first.
+        if counters is not None:
+            counters.stab_nodes_visited += self.zdepth[i]
+        s = self.zdeepest[i]
+        while s is not None:
+            out += s.query(q, counters)
+            s = s.up
+        return out

@@ -2,9 +2,9 @@
 
 Everything here is deliberately slow and simple, and shares no logic with the
 library beyond raw coordinate arithmetic, so a library bug cannot hide in its
-own reference.  The one exception is ``stab2d_walk``, which stabs the
-library's IntervalTree1D because that tree's node visits are part of the
-counter it checks.
+own reference.  The exceptions are ``stab2d_walk``, which stabs the
+library's IntervalTree1D, and ``stab3d_walk``, which queries the library's
+Stab2D, because their node visits are part of the counter each checks.
 """
 
 import bisect
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ofc2d.geometry import HORIZONTAL, VERTICAL, Rect, Segment, SlabIndex, Tiling
 from ofc2d.intervals import IntervalTree1D
+from ofc2d.stabbing import Stab2D
 
 
 def _ray_stop_up(x, y, horiz, vert, yhi):
@@ -220,6 +221,55 @@ def stab2d_walk(items):
                 node, nr = 2 * node, mid
             else:
                 node, nl = 2 * node + 1, mid
+
+    return query
+
+
+def stab3d_walk(items, H):
+    """Reference for Stab3D.query as a root-to-leaf walk: a fan-out-H range
+    tree over the z elementary intervals whose nodes are split only when an
+    insert passes through them, one Stab2D per non-empty node kept in a dict,
+    and a walk that counts every node on the path as one stab node and
+    queries the Stab2Ds it meets.  Returns ``query(p, z, counters)``."""
+    zs = sorted({z for _, zlo, zhi, _ in items for z in (zlo, zhi)})
+    ranges = [(0, max(1, len(zs) - 1))]
+    children = [[]]
+    buckets = {}
+
+    def insert(node, l, r, item):
+        nl, nr = ranges[node]
+        if l <= nl and nr <= r:
+            buckets.setdefault(node, []).append(item)
+            return
+        if not children[node] and nr - nl > 1:
+            step = -(-(nr - nl) // H)
+            for a in range(nl, nr, step):
+                children[node].append(len(ranges))
+                ranges.append((a, min(a + step, nr)))
+                children.append([])
+        for c in children[node]:
+            cl, cr = ranges[c]
+            if l < cr and cl < r:
+                insert(c, l, r, item)
+
+    for rect, zlo, zhi, payload in items:
+        insert(0, bisect.bisect_left(zs, zlo), bisect.bisect_left(zs, zhi),
+               (rect, payload))
+    stabs = {node: Stab2D(b) for node, b in buckets.items()}
+
+    def query(p, z, counters):
+        out = []
+        i = bisect.bisect_right(zs, z) - 1
+        if i < 0 or i >= len(zs) - 1:
+            return out
+        node = 0
+        while node is not None:
+            counters.stab_nodes_visited += 1
+            if node in stabs:
+                out += stabs[node].query(p, counters)
+            node = next((c for c in children[node]
+                         if ranges[c][0] <= i < ranges[c][1]), None)
+        return out
 
     return query
 

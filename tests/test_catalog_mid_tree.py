@@ -98,6 +98,7 @@ def test_midtree_random_queries_match_oracle():
         # Two halves, each crossing at most one forest boundary, each segment
         # one structure per hierarchy level plus the truncation query.
         assert c.structures_queried <= 4 * (ds.levels + 1) + 2
+        assert c.cells_located == len(path)
 
 
 def test_midtree_path_inside_one_truncation_subtree():
@@ -117,3 +118,21 @@ def test_midtree_path_inside_one_truncation_subtree():
         c = WorkCounters()
         ans = ds.query(q, c)
         assert ans == oracle_query(cat, q.q, path)
+        assert c.cells_located == len(path)
+
+
+def test_midtree_locates_each_path_vertex_once():
+    """With a small h2, paths cross forest boundaries and halving cuts; the
+    vertex at each cut and the stab hits outside a segment are not located a
+    second time."""
+    rng = random.Random(12)
+    cat = random_tree_catalog(64, 1024, 30, rng)
+    ds = MidTreeDS(cat, 3, 8, rng)
+    assert ds.levels >= 1
+    vids = list(cat.vertices)
+    for _ in range(300):
+        path = tuple(cat.path_between(rng.choice(vids), rng.choice(vids)))
+        q = PathQuery(random_point(cat.bbox, rng), path)
+        c = WorkCounters()
+        assert ds.query(q, c) == oracle_query(cat, q.q, path)
+        assert c.cells_located == len(path)

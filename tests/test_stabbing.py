@@ -10,7 +10,7 @@ from ofc2d.errors import InvalidParameter
 from ofc2d.geometry import Point, Rect
 from ofc2d.stabbing import Stab2D, Stab3D
 
-from helpers import stab2d_walk, stab_oracle_2d, stab_oracle_3d
+from helpers import stab2d_walk, stab3d_walk, stab_oracle_2d, stab_oracle_3d
 
 
 def random_rects(count, rng, span=1000):
@@ -117,10 +117,15 @@ def test_stab3d_random_matches_oracle(H):
     rng = random.Random(31 + H)
     boxes = random_boxes(500, rng)
     s = Stab3D(boxes, H)
+    walk = stab3d_walk(boxes, H)
     for _ in range(100):
         x, y, z = (rng.randint(-10, 1300) for _ in range(3))
         p = Point(x, y)
-        assert sorted(s.query(p, z)) == sorted(stab_oracle_3d(boxes, p, z))
+        c, cw = WorkCounters(), WorkCounters()
+        hits = sorted(s.query(p, z, c))
+        assert hits == sorted(stab_oracle_3d(boxes, p, z))
+        assert hits == sorted(walk(p, z, cw))
+        assert c == cw
 
 
 def test_stab3d_fanout_law():
@@ -128,10 +133,10 @@ def test_stab3d_fanout_law():
     boxes = random_boxes(500, rng)
     for H in (2, 4, 16):
         s = Stab3D(boxes, H)
-        limit = math.ceil(math.log(s.m, H)) + 1
-        for _ in range(200):
-            z = rng.randint(0, 1300)
-            assert len(s.z_path(z)) <= limit
+        m = len(s.zs) - 1
+        assert len(s.zdepth) == m
+        limit = math.ceil(math.log(m, H)) + 1
+        assert max(s.zdepth) <= limit
 
 
 def test_stab3d_entry_bound():

@@ -9,10 +9,16 @@ Run from the repository root::
 For seed-1 instances 0-4 of every workload in ``perfbench/run.py``, the
 instance is loaded and built through that script's ``set_up``.  Its query
 stream then runs once on the fresh structure, each query with its own
-``WorkCounters``.  The SHA-256 digest covers, in stream order, every answer
-(sorted vertex -> rect id pairs, or the type of the ``Ofc2dError`` raised) and
-the four counters, followed by ``space()`` once the pass is over.  The lines
-printed are ``<workload> <instance> <digest>``.
+``WorkCounters``.  Two SHA-256 digests are taken, in stream order:
+
+- the answer digest covers every answer (sorted vertex -> rect id pairs, or
+  the type of the ``Ofc2dError`` raised) and nothing else;
+- the full digest covers every answer and the four counters, followed by
+  ``space()`` once the pass is over.
+
+The lines printed are ``<workload> <instance> <answer digest> <full
+digest>``.  A change that alters counters or space by design can still show
+equal answer digests.
 
 To compare two commits, run the script in a checkout of each and diff the
 outputs.
@@ -30,23 +36,24 @@ INSTANCES = range(5)
 
 
 def fingerprint(run, name, spec, k):
-    """Digest of instance ``k`` of workload ``name``; ``run`` is the
-    imported ``perfbench/run.py``."""
+    """Answer and full digests of instance ``k`` of workload ``name``;
+    ``run`` is the imported ``perfbench/run.py``."""
     from ofc2d.counters import WorkCounters
     from ofc2d.errors import Ofc2dError
 
     _, _, ds, stream = run.set_up(name, spec, SEED, k)
-    h = hashlib.sha256()
+    answers, h = hashlib.sha256(), hashlib.sha256()
     for q in stream:
         c = WorkCounters()
         try:
             ans = sorted(ds.query(q, c).by_vertex.items())
         except Ofc2dError as e:
             ans = type(e).__name__
+        answers.update(repr(ans).encode())
         h.update(repr((ans, c.stab_nodes_visited, c.pl_comparisons,
                        c.structures_queried, c.cells_located)).encode())
     h.update(repr(run.space(ds)).encode())
-    return h.hexdigest()
+    return answers.hexdigest(), h.hexdigest()
 
 
 def main():
@@ -56,7 +63,7 @@ def main():
     run._import_library()
     for name, spec in run.WORKLOADS.items():
         for k in INSTANCES:
-            print(name, k, fingerprint(run, name, spec, k), flush=True)
+            print(name, k, *fingerprint(run, name, spec, k), flush=True)
     return 0
 
 
