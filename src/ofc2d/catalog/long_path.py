@@ -1,9 +1,10 @@
 """Structure for long paths in tall catalog trees.
 
 The tree is split by heavy-path decomposition; each heavy path carries one
-blocked path structure.  A query path crosses at most ~2 log n heavy paths
-(once per direction from its apex), each in one contiguous run, so the query
-cost is about log² n plus the blocked-structure cost along the path.
+blocked path store (``PathDS``).  A query path is checked once, here; it
+crosses at most ~2 log n heavy paths (once per direction from its apex), each
+in one contiguous run, so the query cost is about log² n plus the blocked
+stores' cost along the path.
 """
 
 from __future__ import annotations
@@ -28,15 +29,21 @@ class LongPathDS:
         self.stored_entries = sum(s.stored_entries for s in self.structures)
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
-        path = q.path
-        check_path(self.tree, path)
+        check_path(self.tree, q.path)
         out = {}
-        for pi, run in groupby(path, self.path_of.__getitem__):
-            # One heavy-path structure per run; the blocked structure's inner
-            # block queries are accounted as stabbing work, not structures.
-            before = counters.structures_queried if counters is not None else 0
-            ans = self.structures[pi].query(PathQuery(q.q, tuple(run)), counters)
+        # A checked walk has no repeated vertex, so it meets each heavy path
+        # in one contiguous run; a run counts as one structure queried.
+        for pi, run in groupby(q.path, self.path_of.__getitem__):
+            run = tuple(run)
+            self.structures[pi].query(q.q, run[0], run[-1], out, counters)
             if counters is not None:
-                counters.structures_queried = before + 1
-            out.update(ans.by_vertex)
+                counters.structures_queried += 1
         return QueryAnswer(out)
+
+
+def build_path_structure(tree: CatalogTree) -> LongPathDS:
+    """The long-path structure of a catalog that is one simple path; its
+    heavy-path decomposition is the one root-first chain."""
+    if any(len(kids) > 1 for kids in tree.children.values()):
+        raise ValueError("catalog is not a simple path")
+    return LongPathDS(tree)

@@ -27,11 +27,10 @@ import time
 
 from . import fileio
 from .catalog.graph_ds import GraphDS
-from .catalog.long_path import LongPathDS
+from .catalog.long_path import LongPathDS, build_path_structure
 from .catalog.mid_tree import MidTreeDS
 from .catalog.model import (CatalogGraph, CatalogTree, PathQuery, SubgraphQuery,
                             regime_heights)
-from .catalog.path_ds import build_path_structure
 from .catalog.short_tree import ShortTreeDS
 from .catalog.tree_ds import TreeDS
 from .counters import WorkCounters

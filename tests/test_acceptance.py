@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from ofc2d.catalog.graph_ds import GraphDS, graph_to_path_catalog, subgraph_to_walk
-from ofc2d.catalog.long_path import LongPathDS
+from ofc2d.catalog.long_path import LongPathDS, build_path_structure
 from ofc2d.catalog.mid_tree import MidTreeDS
 from ofc2d.catalog.model import (
     CatalogGraph,
@@ -22,7 +22,6 @@ from ofc2d.catalog.model import (
     heavy_path_decompose,
 )
 from ofc2d.catalog.boot import BootstrappedDS
-from ofc2d.catalog.path_ds import build_path_structure
 from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters

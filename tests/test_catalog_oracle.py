@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ofc2d.catalog.boot import BootstrappedDS
 from ofc2d.catalog.graph_ds import GraphDS
-from ofc2d.catalog.long_path import LongPathDS
+from ofc2d.catalog.long_path import LongPathDS, build_path_structure
 from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import (
     CatalogGraph,
@@ -20,7 +20,6 @@ from ofc2d.catalog.model import (
     SubgraphQuery,
     regime_heights,
 )
-from ofc2d.catalog.path_ds import build_path_structure
 from ofc2d.catalog.short_tree import ShortTreeDS
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters

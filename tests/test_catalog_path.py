@@ -3,21 +3,21 @@ import random
 
 import pytest
 
-from ofc2d.catalog.long_path import LongPathDS
+from ofc2d.catalog.long_path import LongPathDS, build_path_structure
 from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
-from ofc2d.catalog.path_ds import PathDS, build_path_structure
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import UnknownVertex, VertexNotOnPath
 from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
 from ofc2d.geometry import Rect, Tiling
 from ofc2d.oracle import oracle_query
+from ofc2d.stabbing import Stab2D
 
 
 def test_single_vertex_path():
     rng = random.Random(1)
     cat = random_path_catalog(1, 8, rng)
     ds = build_path_structure(cat)
-    assert len(ds.blocks) == 1
+    assert len(ds.structures[0].blocks) == 1
     q = PathQuery(random_point(cat.bbox, rng), (0,))
     ans = ds.query(q)
     assert ans == oracle_query(cat, q.q, [0])
@@ -28,8 +28,10 @@ def test_block_count_ceiling():
     # 10 vertices, 16 rects total => block size ceil(log2 16) = 4 => 3 blocks.
     cat = random_path_catalog(10, 16, rng)
     ds = build_path_structure(cat)
-    assert ds.block_size == 4
-    assert len(ds.blocks) == 3
+    assert len(ds.structures) == 1  # a chain is one heavy path
+    store = ds.structures[0]
+    assert store.block_size == 4
+    assert len(store.blocks) == 3
 
 
 def test_rejects_non_path_catalog():
@@ -39,10 +41,19 @@ def test_rejects_non_path_catalog():
         build_path_structure(cat)
 
 
-def test_random_queries_match_oracle():
+def test_random_queries_match_oracle(monkeypatch):
     rng = random.Random(4)
     cat = random_path_catalog(32, 512, rng)
     ds = build_path_structure(cat)
+    block_size = ds.structures[0].block_size
+    stabs = []
+    real_stab = Stab2D.query
+
+    def counted(self, q, counters=None):
+        stabs.append(q)
+        return real_stab(self, q, counters)
+
+    monkeypatch.setattr(Stab2D, "query", counted)
     for _ in range(50):
         a = rng.randrange(32)
         b = rng.randrange(32)
@@ -51,9 +62,11 @@ def test_random_queries_match_oracle():
             path.reverse()
         q = PathQuery(random_point(cat.bbox, rng), tuple(path))
         c = WorkCounters()
+        stabs.clear()
         ans = ds.query(q, c)
         assert ans == oracle_query(cat, q.q, path)
-        assert c.structures_queried <= math.ceil(len(path) / ds.block_size) + 1
+        assert c.structures_queried == 1  # one run along the one chain
+        assert 1 <= len(stabs) <= math.ceil(len(path) / block_size) + 1
 
 
 def test_vertex_not_on_path():
@@ -67,9 +80,6 @@ def test_vertex_not_on_path():
         with pytest.raises(VertexNotOnPath):
             ds.query(PathQuery(p, path))
     assert ds.query(PathQuery(p, (3, 2, 1))) == oracle_query(cat, p, [3, 2, 1])
-    head = PathDS(cat, [0, 1, 2, 3])
-    with pytest.raises(VertexNotOnPath):  # in the catalog, off this chain
-        head.query(PathQuery(p, (3, 4)))
 
 
 def test_entry_accounting():
