@@ -26,12 +26,17 @@ Witness sidecar, one line per rectangle::
 Files are read one line at a time; blank lines and ``#`` comments are
 ignored everywhere.  Every malformed line, including a field value that no
 ``Rect`` or ``PathQuery`` accepts, raises ParseError with the path and the
-1-based number of that line.  Checks that span lines of a catalog (unknown
-root or neighbour, asymmetric adjacency, mixed bboxes) stay in the
-``CatalogTree`` and ``CatalogGraph`` constructors, which raise ValueError.
+1-based number of that line.  The rect lines of a vertex section, most of a
+catalog file, are read in one loop that passes each line through ``_fields``
+and ``Rect`` and raises the same errors, at the same lines, as every other
+line.  Checks that span lines of a catalog (unknown root or neighbour,
+asymmetric adjacency, mixed bboxes) stay in the ``CatalogTree`` and
+``CatalogGraph`` constructors, which raise ValueError.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .catalog.model import (
     CatalogGraph,
@@ -48,7 +53,9 @@ def _records(path):
     """Yield (line number, tokens) for each line with tokens before its ``#``."""
     with open(path) as f:
         for no, line in enumerate(f, 1):
-            toks = line.split("#", 1)[0].split()
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            toks = line.split()
             if toks:
                 yield no, toks
 
@@ -132,10 +139,16 @@ def load_catalog(path):
             raise ParseError(path, no, f"vertex {vid} needs at least 1 rect")
         coords = take("bbox", 4)
         bbox = _make(path, no, Rect, -1, *coords)
+        # Rect lines are most of a file: ``take`` and ``_make`` are inlined
+        # here, with the same errors at the same line numbers.
         rects = []
-        for _ in range(k):
-            vals = take("rect", 5)
-            rects.append(_make(path, no, Rect, *vals))
+        try:
+            for no, toks in islice(records, k):
+                rects.append(Rect(*_fields(path, no, toks, "rect", 5)))
+        except (ValueError, OverflowError) as e:
+            raise ParseError(path, no, str(e)) from e
+        if len(rects) < k:
+            raise ParseError(path, no + 1, "unexpected end of file")
         vertices[vid] = CatalogVertex(vid, Tiling(bbox, rects), adjacency[vid])
     rec = next(records, None)
     if rec is not None:

@@ -33,17 +33,33 @@ class Point:
     y: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rect:
+    """A half-open integer rectangle with an id.
+
+    Every rect of a catalog is built here, so the constructor is written by
+    hand: one chained comparison accepts every rect whose coordinates fit in
+    64 bits and whose sides are positive.  Only a rect that fails it pays for
+    ``_check_i64`` (``OverflowError``) and the degenerate check
+    (``ValueError``).  A frozen class rejects ``self.xlo = ...``, so the
+    slots are filled through their member descriptors, bound once below.
+    """
+
     id: int
     xlo: int
     xhi: int
     ylo: int
     yhi: int
 
-    def __post_init__(self):
-        _check_i64(self.xlo, self.xhi, self.ylo, self.yhi)
-        if self.xlo >= self.xhi or self.ylo >= self.yhi:
+    def __init__(self, id, xlo, xhi, ylo, yhi):
+        _set_id(self, id)
+        _set_xlo(self, xlo)
+        _set_xhi(self, xhi)
+        _set_ylo(self, ylo)
+        _set_yhi(self, yhi)
+        if not (INT64_MIN <= xlo < xhi <= INT64_MAX
+                and INT64_MIN <= ylo < yhi <= INT64_MAX):
+            _check_i64(xlo, xhi, ylo, yhi)
             raise ValueError(f"degenerate rect {self}")
 
     def contains(self, p: Point) -> bool:
@@ -64,6 +80,11 @@ class Rect:
     def key(self):
         """Geometry-only tuple, ignoring the id."""
         return (self.xlo, self.xhi, self.ylo, self.yhi)
+
+
+_set_id, _set_xlo, _set_xhi, _set_ylo, _set_yhi = (
+    Rect.id.__set__, Rect.xlo.__set__, Rect.xhi.__set__,
+    Rect.ylo.__set__, Rect.yhi.__set__)
 
 
 @dataclass(frozen=True, slots=True)

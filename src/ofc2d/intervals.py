@@ -3,8 +3,6 @@ containing a query value in O(log n + t) node visits."""
 
 from __future__ import annotations
 
-import bisect
-
 
 class IntervalTree1D:
     """Static interval tree over half-open intervals (lo, hi, payload).

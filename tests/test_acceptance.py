@@ -230,6 +230,21 @@ def test_criterion_4_mid_tree_query_shape():
         worst = max(abs(w - a * m) / (a * m) for (_, w), m in zip(pts, model))
         print(f"  fit a={a:.2f}, worst per-length residual {worst:.0%} "
               f"over |path| {lens[0]}..{lens[-1]}")
+        # The paper's bound also has a term linear in |path|: least squares
+        # of a2*sqrt(L)*log n + b2*L, reported only.
+        s11 = sum(m * m for m in model)
+        s12 = sum(m * L for (L, _), m in zip(pts, model))
+        s22 = sum(L * L for L, _ in pts)
+        t1 = sum(w * m for (_, w), m in zip(pts, model))
+        t2 = sum(w * L for L, w in pts)
+        det = s11 * s22 - s12 * s12
+        a2, b2 = (t1 * s22 - t2 * s12) / det, (t2 * s11 - t1 * s12) / det
+        fits = [a2 * m + b2 * L for (L, _), m in zip(pts, model)]
+        worst2 = max(abs(w - f) / f for (_, w), f in zip(pts, fits))
+        root_share = a2 * sum(model) / sum(fits)
+        print(f"  two-term fit a={a2:.2f} (sqrt|path| log n), b={b2:.2f} (|path|), "
+              f"worst per-length residual {worst2:.0%}; share of fitted counters "
+              f"{root_share:.0%} sqrt|path| log n, {1 - root_share:.0%} |path|")
         assert worst <= 0.5
 
 

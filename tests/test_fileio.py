@@ -117,6 +117,61 @@ def test_parse_errors_carry_line_numbers(tmp_path, text, lineno):
     assert ei.value.lineno == lineno
 
 
+SECTION = "tree 1 0\nroot 0\nadj 0\nvertex 0 3\nbbox 0 8 0 8\n"
+RECTS = ["rect 0 0 4 0 8\n", "rect 1 4 8 0 4\n", "rect 2 4 8 4 8\n"]
+
+
+@pytest.mark.parametrize("line,lineno,message", [
+    ("rct 1 4 8 0 4\n", 7, "expected 'rect', got 'rct'"),
+    ("rect 1 4 8 0\n", 7, "'rect' has 4 integer fields, needs 5"),
+    ("rect 1 4 8 0 4 9\n", 7, "'rect' has 6 integer fields, needs 5"),
+    ("rect 1 4 8 0 x4\n", 7, "non-integer field in ['rect', '1', '4', '8', '0', 'x4']"),
+    ("rect 1 4 4 0 4\n", 7, "degenerate rect Rect(id=1, xlo=4, xhi=4, ylo=0, yhi=4)"),
+    ("rect 1 4 8 4 4\n", 7, "degenerate rect Rect(id=1, xlo=4, xhi=8, ylo=4, yhi=4)"),
+    ("rect 1 4 100000000000000000000 0 4\n", 7,
+     "coordinate 100000000000000000000 does not fit in 64 bits"),
+    (None, 8, "unexpected end of file"),  # the count says 3, the file holds 2
+], ids=["keyword", "four-fields", "six-fields", "non-integer", "zero-width",
+        "zero-height", "past-64-bits", "end-of-file"])
+def test_rect_line_errors(tmp_path, line, lineno, message):
+    """``line`` replaces the second of three rect lines; None drops the third."""
+    p = tmp_path / "bad.cat"
+    p.write_text(SECTION + RECTS[0] + (RECTS[1] if line is None else line + RECTS[2]))
+    with pytest.raises(ParseError) as ei:
+        load_catalog(p)
+    assert ei.value.lineno == lineno
+    assert str(ei.value) == f"{p}:{lineno}: {message}"
+
+
+def test_comments_between_rect_lines(tmp_path):
+    noisy = SECTION + RECTS[0] + "# a comment\n\n" + RECTS[1] + RECTS[2].replace(
+        "\n", "  # trailing\n")
+    p = tmp_path / "noisy.cat"
+    p.write_text(noisy)
+    rects = load_catalog(p).vertices[0].tiling.rects
+    assert [(r.id, *r.key()) for r in rects] == [
+        (0, 0, 4, 0, 8), (1, 4, 8, 0, 4), (2, 4, 8, 4, 8)]
+    p.write_text(noisy.replace("rect 2 4 8 4 8", "rect 2 4 8 4 4"))
+    with pytest.raises(ParseError) as ei:
+        load_catalog(p)
+    assert ei.value.lineno == 10
+    assert str(ei.value).endswith("degenerate rect Rect(id=2, xlo=4, xhi=8, ylo=4, yhi=4)")
+
+
+@pytest.mark.parametrize("make,shape", [(random_tree_catalog, 6), (random_graph_catalog, 3)],
+                         ids=["tree", "graph"])
+def test_round_trip_keeps_every_rect_and_bbox(tmp_path, make, shape):
+    # ``shape`` is the tree's height or the graph's degree.
+    cat = make(24, 2 ** 10, shape, random.Random(5))
+    p = tmp_path / "c.cat"
+    save_catalog(cat, p)
+    back = load_catalog(p)
+    for vid, v in cat.vertices.items():
+        t, u = v.tiling, back.vertices[vid].tiling
+        assert (u.bbox.id, *u.bbox.key()) == (t.bbox.id, *t.bbox.key())
+        assert [(r.id, *r.key()) for r in u.rects] == [(r.id, *r.key()) for r in t.rects]
+
+
 def test_query_parse_errors(tmp_path):
     p = tmp_path / "bad.q"
     p.write_text("# comment\n\npath 1\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from ofc2d.errors import OutOfBounds, OverlappingSegments, PointOutsideBBox
 from ofc2d.gen import random_tiling
 from ofc2d.geometry import (
     HORIZONTAL,
+    INT64_MAX,
+    INT64_MIN,
     VERTICAL,
     Point,
     Rect,
@@ -160,3 +163,38 @@ def test_rect_degenerate_rejected():
 def test_coordinate_overflow_detected():
     with pytest.raises(OverflowError):
         Rect(0, 0, 1 << 63, 0, 1)
+    # Out of range and degenerate at once: the range check comes first.
+    with pytest.raises(OverflowError):
+        Rect(0, 1 << 63, 0, 0, 1)
+    with pytest.raises(OverflowError):
+        Rect(0, 0, 1, -(1 << 64), -(1 << 64))
+    r = Rect(0, INT64_MIN, INT64_MAX, INT64_MIN, INT64_MAX)
+    assert r.key() == (INT64_MIN, INT64_MAX, INT64_MIN, INT64_MAX)
+
+
+@dataclasses.dataclass(frozen=True)
+class _PlainRect:
+    """The fields of ``Rect`` in a dataclass with generated methods."""
+
+    id: int
+    xlo: int
+    xhi: int
+    ylo: int
+    yhi: int
+
+
+def test_rect_behaves_as_a_frozen_dataclass():
+    r = Rect(7, -3, 5, 2, 9)
+    plain = _PlainRect(7, -3, 5, 2, 9)
+    assert dataclasses.astuple(r) == dataclasses.astuple(plain)
+    assert repr(r) == repr(plain).replace("_PlainRect", "Rect")
+    assert hash(r) == hash(plain) == hash(Rect(7, -3, 5, 2, 9))
+    assert r == Rect(7, -3, 5, 2, 9)
+    assert r != Rect(8, -3, 5, 2, 9) and r != Rect(7, -3, 5, 2, 10)
+    assert r != plain and r != (7, -3, 5, 2, 9)
+    assert Rect(id=7, xlo=-3, xhi=5, ylo=2, yhi=9) == r
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.xlo = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.id = 0
+    assert not hasattr(r, "__dict__")
