@@ -213,6 +213,28 @@ def assign_z_ranges(t: CatalogTree) -> dict:
     return z
 
 
+def longest_path(t: CatalogTree) -> int:
+    """Number of vertices on the tree's longest simple path.
+
+    One pass, children before parents: a vertex's height (vertices on its
+    longest downward path) is one more than its tallest child's, and the
+    longest path through it as its top vertex joins its two tallest
+    children's downward paths."""
+    height = {}
+    best = 1
+    for u in reversed(t.order):
+        h1 = h2 = 0
+        for c in t.children[u]:
+            h = height[c]
+            if h > h1:
+                h1, h2 = h, h1
+            elif h > h2:
+                h2 = h
+        height[u] = h1 + 1
+        best = max(best, h1 + h2 + 1)
+    return best
+
+
 def heavy_path_decompose(t: CatalogTree):
     """Classical heavy-path decomposition.
 

@@ -1,9 +1,10 @@
 """Regime dispatcher for arbitrary catalog trees.
 
-Builds the short-path, mid-height (bootstrapped), and long-path structures
-once each, and routes a query by path length: short chunked queries up to
-(log n)/2, the bootstrapped mid structure up to (log² n)/2, heavy-path
-composition beyond that.
+Builds the short-path and mid-height (bootstrapped) structures once each,
+and the long-path stores only on a tree with a path longer than (log² n)/2,
+and routes a query by path length: short chunked queries up to (log n)/2,
+the bootstrapped mid structure up to (log² n)/2, heavy-path composition
+beyond that.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ class TreeDS:
         rounds = 1 if chain and layer_hi(n, chain[-1]) > self.t1 else 0
         self.short = ShortTreeDS(tree, rng)
         self.mid = BootstrappedDS(tree, rounds, rng)
-        self.long = LongPathDS(tree)
+        self.long = LongPathDS(tree, self.t2 + 1)
 
     @property
     def stored_entries(self):
         """Entries stored so far: read on demand, so it includes the short
-        regime's stabs built lazily by queries (not lazy conflict indexes)."""
+        regime's stabs built lazily by queries (not lazy conflict indexes).
+        The long part is 0 on a tree with no path longer than ``t2``."""
         return (self.short.stored_entries + self.mid.stored_entries
                 + self.long.stored_entries)
 

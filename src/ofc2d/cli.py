@@ -107,6 +107,9 @@ def cmd_build_stats(args, out=None):
     print(f"stored_entries {entries}", file=out)
     print(f"space_exponent {exponent:.3f}", file=out)
     if isinstance(ds, TreeDS):
+        # Set-up entries per regime; they sum to stored_entries.
+        for regime in ("short", "mid", "long"):
+            print(f"entries_{regime} {getattr(ds, regime).stored_entries}", file=out)
         # TreeDS builds no layer that its routing could never reach.
         cells = ' '.join(map(str, ds.mid.layer_cell_counts())) or "none"
         print(f"bootstrap_layer_cells {cells}", file=out)

@@ -75,17 +75,17 @@ def _conflicts_for_cells(cells: Tiling, source_rects):
     A cell's id is its position in ``cells.rects``.
     """
     index = cells.index()
-    xs, slab_ylos, slab_rects = index.xs, index.slab_ylos, index.slab_rects
+    xs, starts, ylos, rects = index.xs, index.starts, index.ylos, index.rects
     nslab = len(xs) - 1
     conflicts = [[] for _ in cells.rects]
     for ri, r in enumerate(source_rects):
         i0 = bisect.bisect_right(xs, r.xlo) - 1
         i1 = bisect.bisect_left(xs, r.xhi)
         for i in range(max(i0, 0), min(i1, nslab)):
-            ylos = slab_ylos[i]
-            k0 = max(bisect.bisect_right(ylos, r.ylo) - 1, 0)
-            k1 = bisect.bisect_left(ylos, r.yhi)
-            for cell in slab_rects[i][k0:k1]:
+            lo, hi = starts[i], starts[i + 1]
+            k0 = max(bisect.bisect_right(ylos, r.ylo, lo, hi) - 1, lo)
+            k1 = bisect.bisect_left(ylos, r.yhi, lo, hi)
+            for cell in rects[k0:k1]:
                 lst = conflicts[cell.id]
                 if not lst or lst[-1] != ri:
                     lst.append(ri)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from operator import attrgetter
 
 from .errors import OutOfBounds, OverlappingSegments, PointOutsideBBox
@@ -149,9 +150,16 @@ class SlabIndex:
     O(log n) comparisons per query.  Each rect must meet ``bbox`` but may
     stick out of it; it is indexed as its part inside the bbox, the same as
     a copy clipped to the bbox would be, without building that copy.
+
+    The slabs are kept in four flat lists: the slab edges ``xs``, and
+    ``rects`` with their ``ylos``, slab after slab, where slab i's entries
+    are ``rects[starts[i]:starts[i + 1]]`` in ylo order.  An index then holds
+    a handful of containers however many slabs it has, so the indexes that
+    queries build lazily add little for the cyclic garbage collector to
+    count and scan, and do not bring on its full collections.
     """
 
-    __slots__ = ("bbox", "xs", "slab_ylos", "slab_rects", "entries")
+    __slots__ = ("bbox", "xs", "starts", "ylos", "rects", "entries")
 
     def __init__(self, bbox: Rect, rects):
         self.bbox = bbox
@@ -168,27 +176,28 @@ class SlabIndex:
         # rects meeting one slab have distinct ylos.  A rect starting below
         # the bbox comes first in its slabs, and its ylo, like its clipped
         # one, is at most the y of any point ``locate`` searches for.
-        slab_rects = [[] for _ in range(nslab)]
+        slabs = [[] for _ in range(nslab)]
         for r in sorted(rects, key=attrgetter("ylo")):
             for i in range(slab_of.get(r.xlo, 0), slab_of.get(r.xhi, nslab)):
-                slab_rects[i].append(r)
-        self.slab_rects = slab_rects
-        self.slab_ylos = [[r.ylo for r in b] for b in slab_rects]
-        self.entries = sum(map(len, slab_rects))
+                slabs[i].append(r)
+        self.starts = list(accumulate(map(len, slabs), initial=0))
+        self.rects = flat = list(chain.from_iterable(slabs))
+        self.ylos = [r.ylo for r in flat]
+        self.entries = len(flat)
 
     def locate(self, p: Point, counters=None) -> Rect:
         if not self.bbox.contains(p):
             raise PointOutsideBBox(f"{p} outside {self.bbox}")
         i = bisect.bisect_right(self.xs, p.x) - 1
-        ylos = self.slab_ylos[i]
-        j = bisect.bisect_right(ylos, p.y) - 1
+        lo, hi = self.starts[i], self.starts[i + 1]
+        j = bisect.bisect_right(self.ylos, p.y, lo, hi) - 1
         if counters is not None:
             counters.pl_comparisons += search_cost(len(self.xs)) + search_cost(
-                max(1, len(ylos))
+                max(1, hi - lo)
             )
-        if j < 0:
+        if j < lo:
             raise PointOutsideBBox(f"{p} not covered in slab {i}")
-        r = self.slab_rects[i][j]
+        r = self.rects[j]
         if not r.contains(p):
             raise PointOutsideBBox(f"{p} not covered (gap at slab {i})")
         return r

@@ -292,9 +292,13 @@ def clipped_slab_index(cell, rects):
     idx = SlabIndex.__new__(SlabIndex)
     idx.bbox = cell
     idx.xs = xs
-    idx.slab_rects = slabs
-    idx.slab_ylos = [[r.ylo for r in slab] for slab in slabs]
-    idx.entries = sum(len(slab) for slab in slabs)
+    idx.starts = [0]
+    idx.rects = []
+    for slab in slabs:
+        idx.rects += slab
+        idx.starts.append(len(idx.rects))
+    idx.ylos = [r.ylo for r in idx.rects]
+    idx.entries = len(idx.rects)
     return idx
 
 

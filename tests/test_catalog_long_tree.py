@@ -4,10 +4,10 @@ import random
 import pytest
 
 from ofc2d.catalog.long_path import LongPathDS
-from ofc2d.catalog.model import PathQuery, regime_heights
+from ofc2d.catalog.model import PathQuery, longest_path, regime_heights
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
-from ofc2d.errors import VertexNotOnPath
+from ofc2d.errors import InvalidParameter, Ofc2dError, UnknownVertex, VertexNotOnPath
 from ofc2d.gen import random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
@@ -124,6 +124,52 @@ def test_dispatcher_threshold_consistency():
             assert ds.long.query(q) == want
             checked += 1
     assert checked > 5
+
+
+def test_tree_without_long_paths_builds_no_long_stores():
+    rng = random.Random(11)
+    cat = random_tree_catalog(64, 2 ** 10, 24, rng)
+    ds = TreeDS(cat, rng=rng)
+    assert longest_path(cat) <= ds.t2
+    assert ds.long.paths == [] and ds.long.structures == []
+    assert ds.long.stored_entries == 0
+    vids = list(cat.vertices)
+    for _ in range(400):
+        path = tuple(cat.path_between(rng.choice(vids), rng.choice(vids)))
+        assert ds.regime(len(path)) != "long"
+        q = PathQuery(random_point(cat.bbox, rng), path)
+        assert ds.query(q) == oracle_query(cat, q.q, path)
+    with pytest.raises(InvalidParameter) as e:
+        ds.long.query(q)
+    assert isinstance(e.value, Ofc2dError)
+    # The path is checked first, as when the stores are built.
+    with pytest.raises(UnknownVertex):
+        ds.long.query(PathQuery(q.q, (max(vids) + 1,)))
+
+
+def test_long_min_len_keeps_stores_of_trees_with_long_paths():
+    cat, _ = tall_catalog(3)
+    t2 = regime_heights(cat.n)[1]
+    assert longest_path(cat) > t2
+    full = LongPathDS(cat)
+    assert LongPathDS(cat, t2 + 1).stored_entries == full.stored_entries > 0
+    assert LongPathDS(cat, longest_path(cat) + 1).stored_entries == 0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_long_stores_built_from_one_vertex_past_t2(extra):
+    rng = random.Random(12)
+    t2 = regime_heights(2 ** 10)[1]
+    from ofc2d.gen import random_path_catalog
+
+    cat = random_path_catalog(t2 + extra, 2 ** 10, rng)
+    ds = TreeDS(cat, rng=rng)
+    assert ds.t2 == t2
+    assert bool(ds.long.structures) == bool(extra)
+    path = tuple(range(len(cat.vertices)))
+    assert ds.regime(len(path)) == ("long" if extra else "mid")
+    q = PathQuery(random_point(cat.bbox, rng), path)
+    assert ds.query(q) == oracle_query(cat, q.q, path)
 
 
 def test_dispatcher_single_vertex():

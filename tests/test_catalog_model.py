@@ -11,6 +11,7 @@ from ofc2d.catalog.model import (
     PathQuery,
     assign_z_ranges,
     heavy_path_decompose,
+    longest_path,
 )
 from ofc2d.errors import UnknownVertex
 from ofc2d.gen import (
@@ -113,6 +114,26 @@ def test_heavy_paths_complete_tree():
     # Tie-break goes to the lower vertex id.
     root_path = next(p for p in paths if p[0] == tree.root)
     assert root_path == [0, 1, 3, 7]
+
+
+def longest_path_brute(cat):
+    return max(len(cat.path_between(u, v)) for u in cat.vertices for v in cat.vertices)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_longest_path_matches_brute_force(seed):
+    rng = random.Random(seed)
+    nv = rng.randrange(2, 40)
+    cat = random_tree_catalog(nv, 2 * nv, rng.randrange(1, nv), rng)
+    assert longest_path(cat) == longest_path_brute(cat)
+
+
+def test_longest_path_chain_and_single_vertex():
+    rng = random.Random(9)
+    chain = random_path_catalog(25, 50, rng)
+    assert longest_path(chain) == longest_path_brute(chain) == 25
+    single = random_path_catalog(1, 4, rng)
+    assert longest_path(single) == longest_path_brute(single) == 1
 
 
 def test_heavy_paths_crossing_bound():

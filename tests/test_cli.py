@@ -54,6 +54,20 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     fields = dict(line.split(maxsplit=1) for line in text.strip().splitlines())
     assert int(fields["stored_entries"]) > 0
     assert "bootstrap_layer_cells" in fields
+    # Set-up entries per regime; a height-6 tree of 480 rects has no path
+    # longer than t2 = 40, so it builds no long-path store.
+    parts = [int(fields[f"entries_{r}"]) for r in ("short", "mid", "long")]
+    assert parts[0] > 0 and parts[1] > 0 and parts[2] == 0
+    assert sum(parts) == int(fields["stored_entries"])
+    chain = tmp_path / "chain.cat"
+    main(["gen", "--kind", "random-path", "--vertices", "80", "--per-vertex", "4",
+          "--seed", "4", "--out", str(chain)])
+    assert main(["build-stats", "--instance", str(chain), "--structure", "tree",
+                 "--seed", "4"]) == 0
+    fields = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.strip().splitlines())
+    assert int(fields["entries_long"]) > 0
+    assert sum(int(fields[f"entries_{r}"]) for r in ("short", "mid", "long")) == \
+        int(fields["stored_entries"])
     # Two vertices of one rect each: log2 log2 n is 0, so no exponent is fit.
     body = ("adj 0 1\nadj 1 0\nvertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"
             "vertex 1 1\nbbox 0 8 0 8\nrect 1 0 8 0 8\n")

@@ -111,7 +111,8 @@ def test_conflict_index_locates_source_rect():
 
 
 def slab_ids(index):
-    return [[r.id for r in slab] for slab in index.slab_rects]
+    s = index.starts
+    return [[r.id for r in index.rects[a:b]] for a, b in zip(s, s[1:])]
 
 
 def locate_outcome(index, p):
@@ -152,6 +153,13 @@ def test_conflict_index_matches_clipped_reference(case):
     assert index.xs == ref.xs
     assert slab_ids(index) == slab_ids(ref)
     assert index.entries == ref.entries
+    starts = index.starts
+    assert starts[0] == 0 and len(starts) == len(index.xs)
+    assert all(a <= b for a, b in zip(starts, starts[1:]))
+    assert starts[-1] == index.entries == len(index.ylos)
+    assert index.ylos == [r.ylo for r in index.rects]
+    for a, b in zip(starts, starts[1:]):
+        assert index.ylos[a:b] == sorted(index.ylos[a:b])
     for x in range(cell.xlo - 1, cell.xhi + 1):
         for y in range(cell.ylo - 1, cell.yhi + 1):
             p = Point(x, y)

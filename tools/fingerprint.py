@@ -9,16 +9,19 @@ Run from the repository root::
 For seed-1 instances 0-4 of every workload in ``perfbench/run.py``, the
 instance is loaded and built through that script's ``set_up``.  Its query
 stream then runs once on the fresh structure, each query with its own
-``WorkCounters``.  Two SHA-256 digests are taken, in stream order:
+``WorkCounters``.  Three SHA-256 digests are taken, in stream order:
 
 - the answer digest covers every answer (sorted vertex -> rect id pairs, or
   the type of the ``Ofc2dError`` raised) and nothing else;
 - the full digest covers every answer and the four counters, followed by
-  ``space()`` once the pass is over.
+  ``space()`` once the pass is over;
+- the counters digest covers every answer and the four counters, without
+  ``space()``.
 
 The lines printed are ``<workload> <instance> <answer digest> <full
-digest>``.  A change that alters counters or space by design can still show
-equal answer digests.
+digest> <counters digest>``.  A change that alters counters or space by
+design can still show equal answer digests, and one that alters only space
+equal counters digests.
 
 To compare two commits, run the script in a checkout of each and diff the
 outputs.
@@ -36,8 +39,8 @@ INSTANCES = range(5)
 
 
 def fingerprint(run, name, spec, k):
-    """Answer and full digests of instance ``k`` of workload ``name``;
-    ``run`` is the imported ``perfbench/run.py``."""
+    """Answer, full and counters digests of instance ``k`` of workload
+    ``name``; ``run`` is the imported ``perfbench/run.py``."""
     from ofc2d.counters import WorkCounters
     from ofc2d.errors import Ofc2dError
 
@@ -52,8 +55,9 @@ def fingerprint(run, name, spec, k):
         answers.update(repr(ans).encode())
         h.update(repr((ans, c.stab_nodes_visited, c.pl_comparisons,
                        c.structures_queried, c.cells_located)).encode())
+    counted = h.copy()
     h.update(repr(run.space(ds)).encode())
-    return answers.hexdigest(), h.hexdigest()
+    return answers.hexdigest(), h.hexdigest(), counted.hexdigest()
 
 
 def main():
