@@ -55,11 +55,3 @@ class LongPathDS:
             if counters is not None:
                 counters.structures_queried += 1
         return QueryAnswer(out)
-
-
-def build_path_structure(tree: CatalogTree) -> LongPathDS:
-    """The long-path structure of a catalog that is one simple path; its
-    heavy-path decomposition is the one root-first chain."""
-    if any(len(kids) > 1 for kids in tree.children.values()):
-        raise ValueError("catalog is not a simple path")
-    return LongPathDS(tree)

@@ -126,13 +126,9 @@ class CatalogGraph:
         for v in vertices.values():
             if len(v.adjacency) > degree:
                 raise ValueError(f"vertex {v.id} exceeds degree bound {degree}")
-        if vertices and not self._connected():
+        if vertices and len(reachable(vertices, next(iter(vertices)), vertices)) < len(vertices):
             raise ValueError("catalog graph is not connected")
         self.n = sum(len(v.tiling) for v in vertices.values())
-
-    def _connected(self):
-        vertices = self.vertices
-        return len(reachable(vertices, next(iter(vertices)), vertices)) == len(vertices)
 
     @property
     def bbox(self):

@@ -1,17 +1,17 @@
 """Regime dispatcher for arbitrary catalog trees.
 
-Builds the short-path and mid-height (bootstrapped) structures once each,
-and the long-path stores only on a tree with a path longer than (log² n)/2,
-and routes a query by path length: short chunked queries up to (log n)/2,
-the bootstrapped mid structure up to (log² n)/2, heavy-path composition
-beyond that.
+Builds the short-path and mid-height structures once each, and the
+long-path stores only on a tree with a path longer than (log² n)/2, and
+routes a query by path length: short chunked queries up to (log n)/2, the
+mid-tree structure (a ``BootstrappedDS`` with no layers) up to (log² n)/2,
+heavy-path composition beyond that.
 """
 
 from __future__ import annotations
 
 import random
 
-from .boot import BootstrappedDS, f_chain, layer_hi
+from .boot import BootstrappedDS
 from .long_path import LongPathDS
 from .model import CatalogTree, PathQuery, QueryAnswer, regime_heights
 from .short_tree import ShortTreeDS
@@ -25,13 +25,10 @@ class TreeDS:
     def __init__(self, tree: CatalogTree, rng: random.Random):
         n = max(2, tree.n)
         self.t1, self.t2 = regime_heights(n)
-        # One bootstrap round, built only when its layer's window passes t1:
-        # mid queries have more than t1 vertices, so a layer whose window
-        # ends at or below t1 would never be routed to.
-        chain = f_chain(n, 1)
-        rounds = 1 if chain and layer_hi(n, chain[-1]) > self.t1 else 0
         self.short = ShortTreeDS(tree, rng)
-        self.mid = BootstrappedDS(tree, rounds, rng)
+        # No bootstrap layer: mid queries have more than t1 vertices, and no
+        # layer's window passes t1 below about 3.77M rects (2^21.85).
+        self.mid = BootstrappedDS(tree, 0, rng)
         self.long = LongPathDS(tree, self.t2 + 1)
 
     @property

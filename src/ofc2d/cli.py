@@ -9,6 +9,10 @@ Subcommands::
     ofc2d bench --instance FILE --structure KIND --seed S --out CSV \
         [--queries FILE | --count N --path-len L] [--verify]
 
+KIND is one of short-tree, mid-tree, long-path, tree and graph; long-path
+over a ``random-path`` catalog is the catalog-path structure.  ``--path-len``
+asks for paths (walks on a graph) of exactly L vertices.
+
 Counters (not wall time) are the portable cost model; bench emits one CSV
 row per query plus a summary row.  With --verify its ``oracle_match`` column
 compares each answer with the oracle and bench exits nonzero on any
@@ -27,7 +31,7 @@ import time
 
 from . import fileio
 from .catalog.graph_ds import GraphDS
-from .catalog.long_path import LongPathDS, build_path_structure
+from .catalog.long_path import LongPathDS
 from .catalog.mid_tree import MidTreeDS
 from .catalog.model import (CatalogGraph, CatalogTree, PathQuery, SubgraphQuery,
                             regime_heights)
@@ -35,12 +39,7 @@ from .catalog.short_tree import ShortTreeDS
 from .catalog.tree_ds import TreeDS
 from .counters import WorkCounters
 from .errors import Ofc2dError
-from .gen import (
-    random_graph_catalog,
-    random_path_catalog,
-    random_point,
-    random_tree_catalog,
-)
+from .gen import random_graph_catalog, random_point, random_tree_catalog
 from .hardgen import gen_mid_tree_instance, gen_short_tree_instance
 from .oracle import oracle_query
 
@@ -53,7 +52,9 @@ def cmd_gen(args):
     rng = random.Random(args.seed)
     witness = None
     if args.kind == "random-path":
-        cat = random_path_catalog(args.vertices, args.vertices * args.per_vertex, rng)
+        # A tree as tall as its vertex count allows is one chain.
+        cat = random_tree_catalog(args.vertices, args.vertices * args.per_vertex,
+                                  args.vertices - 1, rng)
     elif args.kind == "random-tree":
         cat = random_tree_catalog(args.vertices, args.vertices * args.per_vertex,
                                   args.height, rng)
@@ -77,8 +78,6 @@ def _build_structure(cat, kind, rng):
         return GraphDS(cat, rng)
     if not isinstance(cat, CatalogTree):
         raise Ofc2dError(f"{kind} structure needs a tree instance")
-    if kind == "path":
-        return build_path_structure(cat)
     if kind == "short-tree":
         return ShortTreeDS(cat, rng)
     if kind == "mid-tree":
@@ -110,34 +109,34 @@ def cmd_build_stats(args, out=None):
         # Set-up entries per regime; they sum to stored_entries.
         for regime in ("short", "mid", "long"):
             print(f"entries_{regime} {getattr(ds, regime).stored_entries}", file=out)
-        # TreeDS builds no layer that its routing could never reach.
-        cells = ' '.join(map(str, ds.mid.layer_cell_counts())) or "none"
-        print(f"bootstrap_layer_cells {cells}", file=out)
     return 0
 
 
 def _random_workload(cat, count, path_len, rng):
-    out = []
     vids = list(cat.vertices)
-    if isinstance(cat, CatalogTree):
-        for _ in range(count):
-            for _ in range(200):
-                u, v = rng.choice(vids), rng.choice(vids)
-                p = cat.path_between(u, v)
-                if path_len is None or len(p) == path_len:
-                    out.append(PathQuery(random_point(cat.bbox, rng), tuple(p)))
-                    break
-            else:
-                raise Ofc2dError(f"no path of length {path_len} found")
-    else:
-        for _ in range(count):
-            walk = [rng.choice(vids)]
-            while path_len and len(walk) < path_len:
-                nxt = [w for w in cat.vertices[walk[-1]].adjacency if w not in walk]
-                if not nxt:
-                    break
-                walk.append(rng.choice(nxt))
-            out.append(PathQuery(random_point(cat.bbox, rng), tuple(walk)))
+
+    def draw():
+        """One random simple path: between two random vertices of a tree, or a
+        self-avoiding walk of up to ``path_len`` vertices in a graph."""
+        if isinstance(cat, CatalogTree):
+            return cat.path_between(rng.choice(vids), rng.choice(vids))
+        walk = [rng.choice(vids)]
+        while path_len and len(walk) < path_len:
+            nxt = [w for w in cat.vertices[walk[-1]].adjacency if w not in walk]
+            if not nxt:
+                break
+            walk.append(rng.choice(nxt))
+        return walk
+
+    out = []
+    for _ in range(count):
+        for _ in range(200):
+            p = draw()
+            if path_len is None or len(p) == path_len:
+                out.append(PathQuery(random_point(cat.bbox, rng), tuple(p)))
+                break
+        else:
+            raise Ofc2dError(f"no path of length {path_len} found")
     return out
 
 
@@ -208,8 +207,8 @@ def make_parser():
         p = sub.add_parser(name)
         p.add_argument("--instance", required=True)
         p.add_argument("--structure", required=True,
-                       choices=["path", "short-tree", "mid-tree", "tree",
-                                "graph", "long-path"])
+                       choices=["short-tree", "mid-tree", "tree", "graph",
+                                "long-path"])
         p.add_argument("--seed", type=int, required=True)
         if name == "bench":
             p.add_argument("--out", required=True)

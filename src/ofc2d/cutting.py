@@ -3,8 +3,10 @@
 ``cutting_build(source, r, rng)`` returns ~r cells tiling the source
 bounding box such that each cell meets at most ``C_CONF * n / r`` source
 rects.  The construction samples source rects, trapezoidal-decomposes their
-merged edge set, splits any over-full cell at a median conflict edge, then
-verifies both budgets and retries with fresh randomness if they fail.
+merged edge set and splits any over-full cell at a median conflict edge.  It
+retries with fresh randomness while the split leaves more than ``C_CUT * r``
+cells, then verifies the result; a failed verification is a defect and
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -152,8 +154,9 @@ class ConflictIndex:
 class Cutting:
     """Cells tiling the source bbox + per-cell conflict lists of source ids.
 
-    Conflict-list point-location indexes are built lazily per cell and
-    cached; ``conflicts[i]`` parallels ``cells.rects[i]``.
+    ``conflicts[i]`` parallels ``cells.rects[i]``.  ``locate`` builds a
+    cell's ``ConflictIndex`` the first time it locates in that cell and
+    caches it in ``_ci``.
     """
 
     __slots__ = ("cells", "conflicts", "source", "target", "_ci")
@@ -168,19 +171,13 @@ class Cutting:
     def conflict_rects(self, cell_idx):
         return [self.source.rects[ri] for ri in self.conflicts[cell_idx]]
 
-    def conflict_index(self, cell_idx) -> ConflictIndex:
-        ci = self._ci.get(cell_idx)
-        if ci is None:
-            ci = ConflictIndex(self.cells.rects[cell_idx], self.conflict_rects(cell_idx))
-            self._ci[cell_idx] = ci
-        return ci
-
     def locate(self, cell_idx, p, counters=None) -> int:
         """Id of the source rect containing point ``p`` of cell ``cell_idx``,
         found in the cell's conflict index; counts one located cell."""
         ci = self._ci.get(cell_idx)
         if ci is None:
-            ci = self.conflict_index(cell_idx)
+            ci = ConflictIndex(self.cells.rects[cell_idx], self.conflict_rects(cell_idx))
+            self._ci[cell_idx] = ci
         if counters is not None:
             counters.cells_located += 1
         return ci.locate(p, counters)
@@ -229,22 +226,13 @@ def cutting_build(source: Tiling, r: int, rng: random.Random) -> Cutting:
         pairs = _split_overfull(
             [(c.key(), cf) for c, cf in zip(coarse.rects, conf)], budget, source.rects
         )
+        # The cell budget is the one check a sample can fail: the split caps
+        # every conflict list, so a failed verification below is a defect.
         if len(pairs) > C_CUT * r:
             continue
         pairs.sort(key=lambda t: t[0])
         cells = Tiling(bbox, [Rect(i, *k) for i, (k, _) in enumerate(pairs)])
         cut = Cutting(cells, [cf for _, cf in pairs], source, r)
-        try:
-            verify_cutting(cut, check_coverage=False)
-        except ValueError:
-            continue
+        verify_cutting(cut, check_coverage=False)
         return cut
-    raise RetryExhausted(f"cutting r={r} failed {CUTTING_MAX_RETRIES} attempts")
-
-
-def cutting_locate(c: Cutting, p, counters=None):
-    """The unique cell containing p: returns (cell index, conflict id list)."""
-    cell = c.cells.index().locate(p, counters)
-    if counters is not None:
-        counters.cells_located += 1
-    return cell.id, c.conflicts[cell.id]
+    raise RetryExhausted(f"cutting r={r} missed the cell budget {CUTTING_MAX_RETRIES} times")

@@ -22,10 +22,8 @@ class InvalidParameter(Ofc2dError):
 
 
 class RetryExhausted(Ofc2dError):
-    """Randomized construction failed verification too many times.
-
-    This signals a bug (or an invalid input), not bad luck.
-    """
+    """Every allowed sample of a randomized construction missed its size
+    budget; a construction that fails its verification raises ValueError."""
 
 
 class NotRootToLeaf(Ofc2dError):

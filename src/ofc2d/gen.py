@@ -84,17 +84,6 @@ def _attach_tilings(adjacency, root, sizes, rng, tree=True, degree=3):
     return CatalogGraph(vertices, degree)
 
 
-def random_path_catalog(n_vertices: int, total_rects: int,
-                        rng: random.Random) -> CatalogTree:
-    """Chain-shaped catalog tree (a catalog path) with ``total_rects`` overall."""
-    adjacency = {i: [] for i in range(n_vertices)}
-    for i in range(n_vertices - 1):
-        adjacency[i].append(i + 1)
-        adjacency[i + 1].append(i)
-    sizes = _split_sizes(total_rects, n_vertices, rng)
-    return _attach_tilings(adjacency, 0, sizes, rng)
-
-
 def random_tree_catalog(n_vertices: int, total_rects: int, height: int,
                         rng: random.Random) -> CatalogTree:
     """Random binary catalog tree with the exact requested height.

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from ofc2d.catalog.graph_ds import GraphDS, graph_to_path_catalog, subgraph_to_walk
-from ofc2d.catalog.long_path import LongPathDS, build_path_structure
+from ofc2d.catalog.long_path import LongPathDS
 from ofc2d.catalog.mid_tree import MidTreeDS
 from ofc2d.catalog.model import (
     CatalogGraph,
@@ -29,7 +29,6 @@ from ofc2d.cutting import cutting_build
 from ofc2d.gen import (
     default_bbox,
     random_graph_catalog,
-    random_path_catalog,
     random_point,
     random_tiling,
     random_tree_catalog,
@@ -80,7 +79,7 @@ def test_criterion_1_oracle_equivalence():
             rng = random.Random(1000 + seed)
             nv = max(16, min(256, n // 256 * 8 or 32))
             kinds = {
-                "path": random_path_catalog(nv, n, rng),
+                "path": random_tree_catalog(nv, n, nv - 1, rng),
                 "short-tree": random_tree_catalog(
                     nv, n, min(nv - 1, max(2, int(math.log2(n) / 2))), rng),
                 "mid-tree": random_tree_catalog(
@@ -94,16 +93,14 @@ def test_criterion_1_oracle_equivalence():
             h1 = max(1, math.ceil(logn / 2))
             h2 = max(h1 + 1, math.ceil(logn * logn / 2))
             for kind, cat in kinds.items():
-                if kind == "path":
-                    ds = build_path_structure(cat)
+                if kind in ("path", "long-path"):
+                    ds = LongPathDS(cat)
                 elif kind == "short-tree":
                     ds = ShortTreeDS(cat, rng)
                 elif kind == "mid-tree":
                     ds = MidTreeDS(cat, h1, h2, rng)
                 elif kind == "tree":
                     ds = TreeDS(cat, rng)
-                elif kind == "long-path":
-                    ds = LongPathDS(cat)
                 else:
                     ds = GraphDS(cat, rng)
                 n_q = 500 if n <= 2 ** 14 else 120

@@ -35,10 +35,8 @@ def long_paths(cat, rng, min_len, count):
 
 
 def test_single_heavy_path_query():
-    from ofc2d.gen import random_path_catalog
-
     rng = random.Random(1)
-    cat = random_path_catalog(30, 128, rng)
+    cat = random_tree_catalog(30, 128, 29, rng)
     ds = LongPathDS(cat)
     assert len(ds.paths) == 1
     path = tuple(range(30))
@@ -160,9 +158,7 @@ def test_long_min_len_keeps_stores_of_trees_with_long_paths():
 def test_long_stores_built_from_one_vertex_past_t2(extra):
     rng = random.Random(12)
     t2 = regime_heights(2 ** 10)[1]
-    from ofc2d.gen import random_path_catalog
-
-    cat = random_path_catalog(t2 + extra, 2 ** 10, rng)
+    cat = random_tree_catalog(t2 + extra, 2 ** 10, t2 + extra - 1, rng)
     ds = TreeDS(cat, rng=rng)
     assert ds.t2 == t2
     assert bool(ds.long.structures) == bool(extra)

@@ -7,13 +7,13 @@ from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import InvalidParameter, NotRootToLeaf
-from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
+from ofc2d.gen import random_point, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
 
 def test_rootleaf_root_only():
     rng = random.Random(1)
-    cat = random_path_catalog(1, 32, rng)
+    cat = random_tree_catalog(1, 32, 0, rng)
     ds = RootLeafDS(cat, rng)
     q = PathQuery(random_point(cat.bbox, rng), (0,))
     assert ds.query(q) == oracle_query(cat, q.q, [0])

@@ -17,7 +17,6 @@ from ofc2d.errors import UnknownVertex
 from ofc2d.gen import (
     default_bbox,
     random_graph_catalog,
-    random_path_catalog,
     random_tiling,
     random_tree_catalog,
 )
@@ -28,7 +27,7 @@ from ofc2d.gen import random_point
 
 def test_z_ranges_single_leaf():
     rng = random.Random(1)
-    cat = random_path_catalog(1, 4, rng)
+    cat = random_tree_catalog(1, 4, 0, rng)
     assert assign_z_ranges(cat) == {0: (0, 1)}
 
 
@@ -99,7 +98,7 @@ def test_walk_order_on_trees_and_slices(seed):
 
 def test_heavy_paths_on_path_tree():
     rng = random.Random(7)
-    cat = random_path_catalog(20, 40, rng)
+    cat = random_tree_catalog(20, 40, 19, rng)
     assert len(heavy_path_decompose(cat)) == 1
 
 
@@ -130,9 +129,9 @@ def test_longest_path_matches_brute_force(seed):
 
 def test_longest_path_chain_and_single_vertex():
     rng = random.Random(9)
-    chain = random_path_catalog(25, 50, rng)
+    chain = random_tree_catalog(25, 50, 24, rng)
     assert longest_path(chain) == longest_path_brute(chain) == 25
-    single = random_path_catalog(1, 4, rng)
+    single = random_tree_catalog(1, 4, 0, rng)
     assert longest_path(single) == longest_path_brute(single) == 1
 
 
@@ -157,7 +156,7 @@ def test_path_query_rejects_repeats():
 
 def test_oracle_unknown_vertex():
     rng = random.Random(9)
-    cat = random_path_catalog(4, 16, rng)
+    cat = random_tree_catalog(4, 16, 3, rng)
     with pytest.raises(UnknownVertex):
         oracle_query(cat, random_point(cat.bbox, rng), [0, 99])
 

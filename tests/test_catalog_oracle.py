@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ofc2d.catalog.boot import BootstrappedDS
 from ofc2d.catalog.graph_ds import GraphDS
-from ofc2d.catalog.long_path import LongPathDS, build_path_structure
+from ofc2d.catalog.long_path import LongPathDS
 from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import (
     CatalogGraph,
@@ -26,7 +26,6 @@ from ofc2d.counters import WorkCounters
 from ofc2d.errors import NotRootToLeaf, Ofc2dError, PointOutsideBBox, UnknownVertex
 from ofc2d.gen import (
     random_graph_catalog,
-    random_path_catalog,
     random_point,
     random_tree_catalog,
 )
@@ -42,7 +41,9 @@ TREE_KINDS = {
     "root-leaf": lambda cat, rng: RootLeafDS(cat, rng),
     "bootstrapped": lambda cat, rng: BootstrappedDS(cat, 1, rng),
     "long-path": lambda cat, rng: LongPathDS(cat),
-    "path": lambda cat, rng: build_path_structure(cat),
+    # The catalog-path structure: LongPathDS over a chain, whose heavy-path
+    # decomposition is the one chain; built on chain catalogs only.
+    "path": lambda cat, rng: LongPathDS(cat),
 }
 
 
@@ -60,7 +61,7 @@ def outcome(fn):
 def chain_case(kind):
     """An 8-vertex chain catalog (a graph for ``graph``) and its structure."""
     rng = random.Random(3)
-    cat = random_path_catalog(8, 256, rng)
+    cat = random_tree_catalog(8, 256, 7, rng)
     if kind == "graph":
         cat = CatalogGraph(dict(cat.vertices), 2)
         return cat, GraphDS(cat, rng)

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from ofc2d.catalog.long_path import LongPathDS, build_path_structure
+from ofc2d.catalog.long_path import LongPathDS
 from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import UnknownVertex, VertexNotOnPath
-from ofc2d.gen import random_path_catalog, random_point, random_tree_catalog
+from ofc2d.gen import random_point, random_tree_catalog
 from ofc2d.geometry import Rect, Tiling
 from ofc2d.oracle import oracle_query
 from ofc2d.stabbing import Stab2D
@@ -15,8 +15,8 @@ from ofc2d.stabbing import Stab2D
 
 def test_single_vertex_path():
     rng = random.Random(1)
-    cat = random_path_catalog(1, 8, rng)
-    ds = build_path_structure(cat)
+    cat = random_tree_catalog(1, 8, 0, rng)
+    ds = LongPathDS(cat)
     assert len(ds.structures[0].blocks) == 1
     q = PathQuery(random_point(cat.bbox, rng), (0,))
     ans = ds.query(q)
@@ -26,25 +26,18 @@ def test_single_vertex_path():
 def test_block_count_ceiling():
     rng = random.Random(2)
     # 10 vertices, 16 rects total => block size ceil(log2 16) = 4 => 3 blocks.
-    cat = random_path_catalog(10, 16, rng)
-    ds = build_path_structure(cat)
+    cat = random_tree_catalog(10, 16, 9, rng)
+    ds = LongPathDS(cat)
     assert len(ds.structures) == 1  # a chain is one heavy path
     store = ds.structures[0]
     assert store.block_size == 4
     assert len(store.blocks) == 3
 
 
-def test_rejects_non_path_catalog():
-    rng = random.Random(3)
-    cat = random_tree_catalog(15, 64, 4, rng)
-    with pytest.raises(ValueError):
-        build_path_structure(cat)
-
-
 def test_random_queries_match_oracle(monkeypatch):
     rng = random.Random(4)
-    cat = random_path_catalog(32, 512, rng)
-    ds = build_path_structure(cat)
+    cat = random_tree_catalog(32, 512, 31, rng)
+    ds = LongPathDS(cat)
     block_size = ds.structures[0].block_size
     stabs = []
     real_stab = Stab2D.query
@@ -71,8 +64,8 @@ def test_random_queries_match_oracle(monkeypatch):
 
 def test_vertex_not_on_path():
     rng = random.Random(5)
-    cat = random_path_catalog(8, 64, rng)
-    ds = build_path_structure(cat)
+    cat = random_tree_catalog(8, 64, 7, rng)
+    ds = LongPathDS(cat)
     p = random_point(cat.bbox, rng)
     with pytest.raises(UnknownVertex):  # not in the catalog at all
         ds.query(PathQuery(p, (0, 99)))
@@ -84,8 +77,8 @@ def test_vertex_not_on_path():
 
 def test_entry_accounting():
     rng = random.Random(6)
-    cat = random_path_catalog(16, 256, rng)
-    ds = build_path_structure(cat)
+    cat = random_tree_catalog(16, 256, 15, rng)
+    ds = LongPathDS(cat)
     n = cat.n
     assert ds.stored_entries <= 4 * n * math.ceil(math.log2(n))
 
@@ -103,11 +96,10 @@ def numbered_per_vertex(cat):
 def test_rect_ids_reused_across_vertices(kind):
     rng = random.Random(7)
     if kind == "path":
-        cat = numbered_per_vertex(random_path_catalog(12, 192, rng))
-        ds = build_path_structure(cat)
+        cat = numbered_per_vertex(random_tree_catalog(12, 192, 11, rng))
     else:
         cat = numbered_per_vertex(random_tree_catalog(40, 640, 12, rng))
-        ds = LongPathDS(cat)
+    ds = LongPathDS(cat)
     vids = list(cat.vertices)
     for _ in range(50):
         path = tuple(cat.path_between(rng.choice(vids), rng.choice(vids)))

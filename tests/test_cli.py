@@ -53,7 +53,6 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     text = capsys.readouterr().out
     fields = dict(line.split(maxsplit=1) for line in text.strip().splitlines())
     assert int(fields["stored_entries"]) > 0
-    assert "bootstrap_layer_cells" in fields
     # Set-up entries per regime; a height-6 tree of 480 rects has no path
     # longer than t2 = 40, so it builds no long-path store.
     parts = [int(fields[f"entries_{r}"]) for r in ("short", "mid", "long")]
@@ -72,7 +71,7 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     body = ("adj 0 1\nadj 1 0\nvertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"
             "vertex 1 1\nbbox 0 8 0 8\nrect 1 0 8 0 8\n")
     tiny = tmp_path / "tiny.cat"
-    for kind in ("path", "short-tree", "mid-tree", "tree", "graph", "long-path"):
+    for kind in ("short-tree", "mid-tree", "tree", "graph", "long-path"):
         header = "graph 2 1\n" if kind == "graph" else "tree 2 1\nroot 0\n"
         tiny.write_text(header + body)
         assert main(["build-stats", "--instance", str(tiny), "--structure",
@@ -116,7 +115,7 @@ def test_bench_empty_workload_header_only(tmp_path):
     qf = tmp_path / "q.txt"
     qf.write_text("")
     out = tmp_path / "r.csv"
-    assert main(["bench", "--instance", str(inst), "--structure", "path",
+    assert main(["bench", "--instance", str(inst), "--structure", "long-path",
                  "--seed", "5", "--queries", str(qf), "--out", str(out)]) == 0
     with out.open() as f:
         rows = list(csv.reader(f))
@@ -168,6 +167,23 @@ def test_bench_reproducible_counters(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_bench_graph_walks_have_the_asked_length(tmp_path, capsys):
+    """Every random walk on a graph has exactly --path-len vertices; a
+    length no simple walk reaches exits 2."""
+    inst = tmp_path / "g.cat"
+    main(["gen", "--kind", "random-graph", "--vertices", "32", "--degree",
+          "3", "--per-vertex", "8", "--seed", "1", "--out", str(inst)])
+    out = tmp_path / "r.csv"
+    bench = ["bench", "--instance", str(inst), "--structure", "graph",
+             "--seed", "1", "--verify", "--out", str(out)]
+    assert main(bench + ["--count", "200", "--path-len", "12"]) == 0
+    with out.open() as f:
+        rows = list(csv.reader(f))[1:-1]
+    assert len(rows) == 200 and all(r[1] == "12" for r in rows)
+    assert main(bench + ["--count", "1", "--path-len", "33"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_subgraph_queries_on_graph(tmp_path):
     inst = tmp_path / "g.cat"
     main(["gen", "--kind", "random-graph", "--vertices", "16", "--degree",
@@ -189,7 +205,7 @@ def test_bench_subgraph_queries_on_graph(tmp_path):
                  "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("structure", ["tree", "short-tree", "path"])
+@pytest.mark.parametrize("structure", ["tree", "short-tree", "long-path"])
 def test_bench_subgraph_query_on_tree_exit_code(tmp_path, capsys, structure):
     inst = tmp_path / "p.cat"
     main(["gen", "--kind", "random-path", "--vertices", "6", "--per-vertex",

@@ -3,15 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ofc2d import cutting
 from ofc2d.config import C_CONF, C_CUT
 from ofc2d.counters import WorkCounters
-from ofc2d.cutting import (
-    ConflictIndex,
-    Cutting,
-    cutting_build,
-    cutting_locate,
-    verify_cutting,
-)
+from ofc2d.cutting import ConflictIndex, Cutting, cutting_build, verify_cutting
 from ofc2d.errors import InvalidParameter, PointOutsideBBox
 from ofc2d.gen import random_tiling
 from ofc2d.geometry import Point, Rect, Tiling
@@ -71,13 +66,32 @@ def test_random_cuttings_verify(seed, n, r):
     verify_cutting(c)
 
 
+def test_failed_verification_is_not_retried(monkeypatch):
+    """A cutting that fails verification raises ValueError on the first
+    sample instead of drawing another: only the cell budget is retried."""
+    real_split, real_decompose = cutting._split_overfull, cutting.trapezoidal_decompose
+    decompositions = []
+
+    def decompose(*args):
+        decompositions.append(1)
+        return real_decompose(*args)
+
+    monkeypatch.setattr(cutting, "_split_overfull", lambda *a: real_split(*a)[1:])
+    monkeypatch.setattr(cutting, "trapezoidal_decompose", decompose)
+    src, rng = make_source(256, 4)
+    with pytest.raises(ValueError):
+        cutting_build(src, 8, rng)
+    assert len(decompositions) == 1
+
+
 def test_locate_agrees_with_scan():
     src, rng = make_source(512, 8)
     c = cutting_build(src, 30, rng)
     side = src.bbox.xhi
     for _ in range(100):
         p = Point(rng.randrange(side), rng.randrange(side))
-        ci, conf = cutting_locate(c, p)
+        ci = c.cells.index().locate(p).id
+        conf = c.conflicts[ci]
         scan = [cell for cell in c.cells.rects if cell.contains(p)]
         assert len(scan) == 1 and scan[0].id == ci
         # The source rect containing p is in the located cell's conflicts.
@@ -90,9 +104,9 @@ def test_locate_half_open_and_outside():
     cells = Tiling(bbox, [Rect(0, 0, 4, 0, 8), Rect(1, 4, 8, 0, 8)])
     src = Tiling(bbox, [Rect(0, 0, 4, 0, 8), Rect(1, 4, 8, 0, 8)])
     c = Cutting(cells, [[0], [1]], src, 2)
-    assert cutting_locate(c, Point(4, 3))[0] == 1
+    assert c.cells.index().locate(Point(4, 3)).id == 1
     with pytest.raises(PointOutsideBBox):
-        cutting_locate(c, Point(8, 0))
+        c.cells.index().locate(Point(8, 0))
 
 
 def test_conflict_index_locates_source_rect():
@@ -101,13 +115,18 @@ def test_conflict_index_locates_source_rect():
     side = src.bbox.xhi
     for _ in range(100):
         p = Point(rng.randrange(side), rng.randrange(side))
-        ci, _ = cutting_locate(c, p)
+        ci = c.cells.index().locate(p).id
         w = WorkCounters()
-        rid = c.conflict_index(ci).locate(p, w)
+        rid = c.locate(ci, p, w)
         assert rid == next(r.id for r in src.rects if r.contains(p))
         assert w.pl_comparisons > 0
         ref = clipped_slab_index(c.cells.rects[ci], c.conflict_rects(ci))
-        assert c.conflict_index(ci).index.entries == ref.entries
+        index = c._ci[ci]
+        assert index.index.entries == ref.entries
+        # A second locate in the cell builds no new index.
+        built = len(c._ci)
+        assert c.locate(ci, p) == rid
+        assert len(c._ci) == built and c._ci[ci] is index
 
 
 def slab_ids(index):
@@ -173,6 +192,8 @@ def test_counters_logarithmic_in_cells():
     for _ in range(50):
         p = Point(rng.randrange(side), rng.randrange(side))
         w = WorkCounters()
-        cutting_locate(c, p, w)
+        ci = c.cells.index().locate(p, w).id
         assert w.pl_comparisons <= 4 * (C_CUT * 64).bit_length()
+        w = WorkCounters()
+        c.locate(ci, p, w)
         assert w.cells_located == 1
