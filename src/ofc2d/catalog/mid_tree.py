@@ -12,6 +12,10 @@ RootLeafDS instances, and a query splits at its apex into two descending
 halves answered level by level (extended to a full root-to-leaf query at the
 truncation level, whose stab hits outside the path are skipped unlocated).
 Each path vertex is located exactly once.
+
+One MidTreeDS build makes one cutting per (vertex, rho) pair: every RootLeafDS
+that asks for a pair already built wraps its cells and conflict lists in a
+Cutting of its own, which builds and caches its own conflict indexes.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 
-from ..cutting import cutting_build
+from ..cutting import Cutting, cutting_build
 from ..errors import InvalidParameter, NotRootToLeaf, PointOutsideBBox
 from ..stabbing import Stab3D
 from .model import (CatalogTree, PathQuery, QueryAnswer, assign_z_ranges, check_path,
@@ -42,7 +46,11 @@ class SubTree(CatalogTree):
 class RootLeafDS:
     __slots__ = ("tree", "r", "H", "cuttings", "z", "stab", "stored_entries")
 
-    def __init__(self, tree, rng: random.Random):
+    def __init__(self, tree, rng: random.Random, shared=None):
+        """``shared`` maps (vertex id, rho) to a cutting built earlier in the
+        same build; pairs not in it are built with ``rng`` and added."""
+        if shared is None:
+            shared = {}
         n = max(2, tree.n)
         h = max(1, tree.height)
         logn = math.log2(n)
@@ -57,7 +65,11 @@ class RootLeafDS:
         for vid, v in tree.vertices.items():
             ni = len(v.tiling)
             rho = max(1, min(ni, math.ceil(ni / self.r)))
-            cut = cutting_build(v.tiling, rho, rng)
+            made = shared.get((vid, rho))
+            if made is None:
+                cut = shared[vid, rho] = cutting_build(v.tiling, rho, rng)
+            else:
+                cut = Cutting(made.cells, made.conflicts, made.source, made.target)
             self.cuttings[vid] = cut
             zlo, zhi = self.z[vid]
             boxes += [(cell, zlo, zhi, (vid, cut, i))
@@ -92,16 +104,16 @@ class _RecNode:
 
     __slots__ = ("sub", "rl", "cut", "top", "bottoms", "levels")
 
-    def __init__(self, tree, root, h1, rng, max_rel_depth=None):
+    def __init__(self, tree, root, h1, rng, shared, max_rel_depth=None):
         self.sub = SubTree(tree, root, max_rel_depth)
-        self.rl = RootLeafDS(self.sub, rng)
+        self.rl = RootLeafDS(self.sub, rng, shared)
         if self.sub.height > h1:
             self.cut = math.ceil(self.sub.height / 2)
-            self.top = _RecNode(self.sub, root, h1, rng, max_rel_depth=self.cut)
+            self.top = _RecNode(self.sub, root, h1, rng, shared, max_rel_depth=self.cut)
             self.bottoms = {}
             for vid, d in self.sub.depth.items():
                 if d == self.cut and self.sub.children[vid]:
-                    self.bottoms[vid] = _RecNode(self.sub, vid, h1, rng)
+                    self.bottoms[vid] = _RecNode(self.sub, vid, h1, rng, shared)
             self.levels = 1 + max(
                 [self.top.levels] + [b.levels for b in self.bottoms.values()]
             )
@@ -111,13 +123,13 @@ class _RecNode:
             self.bottoms = {}
             self.levels = 0
 
-    def stored_entries(self):
-        total = self.rl.stored_entries
+    def walk(self):
+        """This node and every node of the hierarchy below it."""
+        yield self
         if self.top is not None:
-            total += self.top.stored_entries()
+            yield from self.top.walk()
         for b in self.bottoms.values():
-            total += b.stored_entries()
-        return total
+            yield from b.walk()
 
     def answer_seg(self, q, seg, out, counters, skip=0):
         """Answer a descending path ``seg`` inside this node's tree, locating
@@ -156,8 +168,13 @@ class _RecNode:
 
 
 class MidTreeDS:
+    """``cuttings_built`` counts the distinct (vertex, rho) cuttings of the
+    build and ``cuttings_used`` the vertex cuttings of all its RootLeafDS
+    nodes, shared ones once per node; ``stored_entries`` counts each node's
+    conflict lists, shared ones included."""
+
     __slots__ = ("tree", "h1", "h2", "forest", "forest_of", "levels",
-                 "stored_entries")
+                 "stored_entries", "cuttings_built", "cuttings_used")
 
     def __init__(self, tree: CatalogTree, h1: int, h2: int, rng: random.Random):
         if not 1 <= h1 < h2:
@@ -167,15 +184,19 @@ class MidTreeDS:
         self.h2 = h2
         roots = sorted(v for v, d in tree.depth.items() if d % h2 == 0)
         self.forest = {}
+        shared = {}
         for v in roots:
             limit = h2 - 1  # forest trees span depths [k*h2, (k+1)*h2 - 1]
-            self.forest[v] = _RecNode(tree, v, h1, rng, max_rel_depth=limit)
+            self.forest[v] = _RecNode(tree, v, h1, rng, shared, max_rel_depth=limit)
         self.forest_of = {}
         for root in roots:
             for vid in self.forest[root].sub.vertices:
                 self.forest_of[vid] = root
         self.levels = max(n.levels for n in self.forest.values())
-        self.stored_entries = sum(n.stored_entries() for n in self.forest.values())
+        rls = [node.rl for root in self.forest.values() for node in root.walk()]
+        self.stored_entries = sum(rl.stored_entries for rl in rls)
+        self.cuttings_built = len(shared)
+        self.cuttings_used = sum(len(rl.cuttings) for rl in rls)
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
         t = self.tree

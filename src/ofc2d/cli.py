@@ -109,6 +109,12 @@ def cmd_build_stats(args, out=None):
         # Set-up entries per regime; they sum to stored_entries.
         for regime in ("short", "mid", "long"):
             print(f"entries_{regime} {getattr(ds, regime).stored_entries}", file=out)
+    mid = ds.mid.base if isinstance(ds, TreeDS) else ds
+    if isinstance(mid, MidTreeDS):
+        # Distinct (vertex, rho) cuttings, and the vertex cuttings of all
+        # RootLeafDS nodes that share them.
+        print(f"mid_cuttings_built {mid.cuttings_built}", file=out)
+        print(f"mid_cuttings_used {mid.cuttings_used}", file=out)
     return 0
 
 

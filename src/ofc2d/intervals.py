@@ -3,13 +3,18 @@ containing a query value in O(log n + t) node visits."""
 
 from __future__ import annotations
 
+from operator import itemgetter
+
+_LO, _HI = itemgetter(0), itemgetter(1)
+
 
 class IntervalTree1D:
     """Static interval tree over half-open intervals (lo, hi, payload).
 
     Each node keeps the intervals crossing its center, sorted by lo ascending
     and by hi descending, so a stab enumerates exactly the hits plus one
-    overshoot per node.  ``up`` is set only on a tree that Stab2D stores at a
+    overshoot per node; a node with at most one crossing interval keeps one
+    list for both orders.  ``up`` is set only on a tree that Stab2D stores at a
     segment-tree node: the nearest non-empty tree above it, or None.
     """
 
@@ -18,29 +23,39 @@ class IntervalTree1D:
     def __init__(self, items):
         items = list(items)
         self.size = len(items)
-        if not items:
-            self.center = 0
-            self.by_lo = []
-            self.by_hi_desc = []
-            self.left = self.right = None
-            return
-        endpoints = sorted(set(x for lo, hi, _ in items for x in (lo, hi)))
-        # Lower median guarantees both subtrees lose at least one distinct
-        # endpoint, so recursion terminates even on duplicate-heavy inputs.
-        self.center = endpoints[(len(endpoints) - 1) // 2]
-        here, left, right = [], [], []
-        for it in items:
-            lo, hi, _ = it
-            if hi <= self.center:
-                left.append(it)
-            elif lo > self.center:
-                right.append(it)
-            else:
-                here.append(it)
-        self.by_lo = sorted(here, key=lambda it: it[0])
-        self.by_hi_desc = sorted(here, key=lambda it: -it[1])
-        self.left = IntervalTree1D(left) if left else None
-        self.right = IntervalTree1D(right) if right else None
+        self.left = self.right = None
+        if len(items) <= 1:
+            # One interval crosses its own lo, the lower median of its two
+            # endpoints; none leaves an empty tree centred at 0.
+            self.center = items[0][0] if items else 0
+            here = items
+        else:
+            endpoints = sorted({*map(_LO, items), *map(_HI, items)})
+            # Lower median guarantees both subtrees lose at least one distinct
+            # endpoint, so recursion terminates even on duplicate-heavy inputs.
+            center = self.center = endpoints[(len(endpoints) - 1) // 2]
+            here, left, right = [], [], []
+            for it in items:
+                if it[1] <= center:
+                    left.append(it)
+                elif it[0] > center:
+                    right.append(it)
+                else:
+                    here.append(it)
+            if left:
+                self.left = IntervalTree1D(left)
+            if right:
+                self.right = IntervalTree1D(right)
+        if len(here) <= 1:
+            # Both orders of at most one interval are the same list; it is
+            # never mutated, so the two fields share it.
+            self.by_lo = self.by_hi_desc = here
+        else:
+            # A stable descending sort keeps equal his in input order, as
+            # key=-hi did; it runs before ``here`` is sorted by lo in place.
+            self.by_hi_desc = sorted(here, key=_HI, reverse=True)
+            here.sort(key=_LO)
+            self.by_lo = here
 
     def stab(self, q, out, counters=None):
         """Append payloads of intervals with lo <= q < hi to ``out``."""

@@ -4,7 +4,9 @@ Everything here is deliberately slow and simple, and shares no logic with the
 library beyond raw coordinate arithmetic, so a library bug cannot hide in its
 own reference.  The exceptions are ``stab2d_walk``, which stabs the
 library's IntervalTree1D, and ``stab3d_walk``, which queries the library's
-Stab2D, because their node visits are part of the counter each checks.
+Stab2D, because their node visits are part of the counter each checks, and
+``interval_tree_reference``, which builds IntervalTree1D nodes the slow way
+so the library's ``stab`` walks them.
 """
 
 import bisect
@@ -178,6 +180,38 @@ def stab_oracle_3d(items, p, z):
         and r.ylo <= p.y < r.yhi
         and zlo <= z < zhi
     ]
+
+
+def interval_tree_reference(items):
+    """IntervalTree1D built node by node with the plain per-node builder: a
+    fresh sorted endpoint set, its lower median as the center, and lambda
+    sort keys (``-hi`` for the descending list).  The library's faster
+    constructor must build the same tree."""
+    node = object.__new__(IntervalTree1D)
+    items = list(items)
+    node.size = len(items)
+    if not items:
+        node.center = 0
+        node.by_lo = []
+        node.by_hi_desc = []
+        node.left = node.right = None
+        return node
+    endpoints = sorted(set(x for lo, hi, _ in items for x in (lo, hi)))
+    node.center = endpoints[(len(endpoints) - 1) // 2]
+    here, left, right = [], [], []
+    for it in items:
+        lo, hi, _ = it
+        if hi <= node.center:
+            left.append(it)
+        elif lo > node.center:
+            right.append(it)
+        else:
+            here.append(it)
+    node.by_lo = sorted(here, key=lambda it: it[0])
+    node.by_hi_desc = sorted(here, key=lambda it: -it[1])
+    node.left = interval_tree_reference(left) if left else None
+    node.right = interval_tree_reference(right) if right else None
+    return node
 
 
 def stab2d_walk(items):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ofc2d.catalog import mid_tree
 from ofc2d.catalog.mid_tree import MidTreeDS, RootLeafDS
 from ofc2d.catalog.model import PathQuery
 from ofc2d.counters import WorkCounters
@@ -136,3 +137,37 @@ def test_midtree_locates_each_path_vertex_once():
         c = WorkCounters()
         assert ds.query(q, c) == oracle_query(cat, q.q, path)
         assert c.cells_located == len(path)
+
+
+def test_midtree_builds_each_cutting_once(monkeypatch):
+    """One build makes one cutting per (vertex, rho); every RootLeafDS node
+    wraps it in a Cutting of its own, with its own conflict-index cache, over
+    the shared cells and conflict lists."""
+    rng = random.Random(13)
+    cat = random_tree_catalog(64, 1024, 30, rng)
+    vid_of = {id(v.tiling): vid for vid, v in cat.vertices.items()}
+    calls = []
+    real = mid_tree.cutting_build
+
+    def counting(source, r, rng):
+        calls.append((vid_of[id(source)], r))
+        return real(source, r, rng)
+
+    monkeypatch.setattr(mid_tree, "cutting_build", counting)
+    ds = MidTreeDS(cat, 3, 8, rng)
+    rls = [node.rl for root in ds.forest.values() for node in root.walk()]
+    used = [(vid, cut) for rl in rls for vid, cut in rl.cuttings.items()]
+    assert len(calls) == len(set(calls)) == ds.cuttings_built
+    assert set(calls) == {(vid, cut.target) for vid, cut in used}
+    assert len(used) == ds.cuttings_used > ds.cuttings_built
+    assert len({id(cut) for _, cut in used}) == len(used)
+    assert len({id(cut._ci) for _, cut in used}) == len(used)
+    first = {}
+    for vid, cut in used:
+        made = first.setdefault((vid, cut.target), cut)
+        assert cut.cells is made.cells and cut.conflicts is made.conflicts
+    vids = list(cat.vertices)
+    for _ in range(300):
+        path = tuple(cat.path_between(rng.choice(vids), rng.choice(vids)))
+        q = PathQuery(random_point(cat.bbox, rng), path)
+        assert ds.query(q) == oracle_query(cat, q.q, path)

@@ -40,10 +40,9 @@ TREE_KINDS = {
     "mid-tree": lambda cat, rng: MidTreeDS(cat, *regime_heights(cat.n), rng),
     "root-leaf": lambda cat, rng: RootLeafDS(cat, rng),
     "bootstrapped": lambda cat, rng: BootstrappedDS(cat, 1, rng),
+    # Over a chain this is also the catalog-path structure: its heavy-path
+    # decomposition is the one chain.
     "long-path": lambda cat, rng: LongPathDS(cat),
-    # The catalog-path structure: LongPathDS over a chain, whose heavy-path
-    # decomposition is the one chain; built on chain catalogs only.
-    "path": lambda cat, rng: LongPathDS(cat),
 }
 
 
@@ -258,10 +257,7 @@ CHECKS = settings(max_examples=300, deadline=None, derandomize=True, database=No
 @given(tree_cases())
 def test_tree_structures_match_oracle(case):
     cat, queries = case
-    is_chain = all(len(kids) <= 1 for kids in cat.children.values())
     for kind, build in TREE_KINDS.items():
-        if kind == "path" and not is_chain:
-            continue
         ds = build(cat, random.Random(0))
         for q in queries:
             if kind == "root-leaf":

@@ -58,6 +58,15 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     parts = [int(fields[f"entries_{r}"]) for r in ("short", "mid", "long")]
     assert parts[0] > 0 and parts[1] > 0 and parts[2] == 0
     assert sum(parts) == int(fields["stored_entries"])
+    # The mid regime builds each (vertex, rho) cutting once, and every
+    # root-leaf node that uses one counts it once; the pairs depend on the
+    # tree alone, so mid-tree reports the same counts.
+    built, used = int(fields["mid_cuttings_built"]), int(fields["mid_cuttings_used"])
+    assert 30 <= built < used
+    assert main(["build-stats", "--instance", str(out), "--structure", "mid-tree",
+                 "--seed", "4"]) == 0
+    mid = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.strip().splitlines())
+    assert (int(mid["mid_cuttings_built"]), int(mid["mid_cuttings_used"])) == (built, used)
     chain = tmp_path / "chain.cat"
     main(["gen", "--kind", "random-path", "--vertices", "80", "--per-vertex", "4",
           "--seed", "4", "--out", str(chain)])

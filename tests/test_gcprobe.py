@@ -1,6 +1,6 @@
 """Smoke test of ``tools/gcprobe.py`` on a tiny tree-long-shaped workload:
-one line per instance, and a full collection made inside a query is charged
-to the first pass."""
+one line per instance of each seed and a summary line, and a full collection
+made inside a query is charged to the first pass."""
 
 import gc
 import importlib
@@ -36,17 +36,41 @@ def tool(monkeypatch, tmp_path):
 
 
 def test_one_line_per_instance(tool, capsys):
+    """One line per instance of each seed, then the summary line."""
     probe, run, _ = tool
     callbacks = list(gc.callbacks)
-    assert probe.main(["--workload", NAME, "--seed", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in lines] == [[NAME, str(k)] for k in range(run.INSTANCES)]
+    assert probe.main(["--workload", NAME, "--seed", "1", "2"]) == 0
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert [line.split()[:3] for line in lines] == \
+        [[NAME, str(k), f"seed={s}"] for s in (1, 2) for k in range(run.INSTANCES)]
+    hit = {}
     for line in lines:
         fields = dict(f.split("=") for f in line.split()[2:])
-        assert set(fields) == {"setup_s", "first_pass_s", "setup_gen2", "setup_gen2_s",
-                               "first_gen2", "first_gen2_s"}
+        assert set(fields) == {"seed", "setup_s", "first_pass_s", "setup_gen2",
+                               "setup_gen2_s", "first_gen2", "first_gen2_s"}
         assert float(fields["setup_s"]) > 0
+        if int(fields["first_gen2"]):
+            hit[f"s{fields['seed']}k{line.split()[1]}"] = fields["first_gen2_s"]
+    name, word, *rest = last.split()
+    assert (name, word) == (NAME, "summary")
+    totals = dict(f.split("=") for f in rest)
+    assert totals.pop("instances") == str(2 * run.INSTANCES)
+    assert totals.pop("first_gen2_instances") == str(len(hit))
+    assert float(totals.pop("first_gen2_s")) >= 0
+    assert totals == hit
     assert gc.callbacks == callbacks
+
+
+def test_summary_names_first_pass_collections(tool):
+    probe, _, _ = tool
+    quiet = {"first_gen2": 0, "first_gen2_s": 0.0}
+    probes = [(1, 0, quiet), (1, 3, {"first_gen2": 1, "first_gen2_s": 0.048}),
+              (2, 1, {"first_gen2": 2, "first_gen2_s": 0.1}), (3, 4, quiet)]
+    assert probe.summary("w", probes) == \
+        "w summary instances=4 first_gen2_instances=2 first_gen2_s=0.1480 " \
+        "s1k3=0.0480 s2k1=0.1000"
+    assert probe.summary("w", probes[:1]) == \
+        "w summary instances=1 first_gen2_instances=0 first_gen2_s=0.0000"
 
 
 def test_collection_in_a_query_counts_in_the_first_pass(tool, monkeypatch):

@@ -4,15 +4,21 @@ collections fall: in set-up or in the first pass of each benchmark instance.
 
 Run from the repository root::
 
-    python3 tools/gcprobe.py --workload tree-mixed --seed 1
+    python3 tools/gcprobe.py --workload tree-mixed --seed 1 2 3
 
-For each of the workload's instances (0-4), the instance is loaded and built
-through ``perfbench/run.py`` ``set_up``, and its query stream runs once
-through ``run_pass`` on the fresh structure, as ``tools/fingerprint.py``
-does.  One line is printed per instance::
+For each seed and each of the workload's instances (0-4), the instance is
+loaded and built through ``perfbench/run.py`` ``set_up``, and its query
+stream runs once through ``run_pass`` on the fresh structure, as
+``tools/fingerprint.py`` does.  One line is printed per instance::
 
-    <workload> <instance> setup_s=<s> first_pass_s=<s> setup_gen2=<count>
-    setup_gen2_s=<s> first_gen2=<count> first_gen2_s=<s>
+    <workload> <instance> seed=<seed> setup_s=<s> first_pass_s=<s>
+    setup_gen2=<count> setup_gen2_s=<s> first_gen2=<count> first_gen2_s=<s>
+
+and one summary line at the end, naming each instance whose first pass ran
+a full collection as ``s<seed>k<instance>=<seconds of those collections>``::
+
+    <workload> summary instances=<count> first_gen2_instances=<count>
+    first_gen2_s=<s> [s<seed>k<instance>=<s> ...]
 
 Set-up covers what ``set_up`` times (loading and construction), not the
 ``gc.collect()`` it runs before its clock starts or the query stream it
@@ -86,21 +92,35 @@ def probe(run, name, spec, seed, k):
             "first_gen2": log.count["first"], "first_gen2_s": log.seconds["first"]}
 
 
+def summary(workload, probes):
+    """The summary line over ``probes``, a list of (seed, instance, probe
+    result) in run order."""
+    hit = [(seed, k, p["first_gen2_s"]) for seed, k, p in probes if p["first_gen2"]]
+    return " ".join([workload, "summary", f"instances={len(probes)}",
+                     f"first_gen2_instances={len(hit)}",
+                     f"first_gen2_s={sum(sec for _, _, sec in hit):.4f}",
+                     *(f"s{seed}k{k}={sec:.4f}" for seed, k, sec in hit)])
+
+
 def main(argv=None):
     sys.path.insert(0, str(PERFBENCH))
     import run
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
     args = ap.parse_args(argv)
     run._import_library()
     spec = run.WORKLOADS[args.workload]
-    for k in range(run.INSTANCES):
-        p = probe(run, args.workload, spec, args.seed, k)
-        print(args.workload, k, " ".join(
-            f"{key}={v}" if isinstance(v, int) else f"{key}={v:.4f}"
-            for key, v in p.items()), flush=True)
+    probes = []
+    for seed in args.seed:
+        for k in range(run.INSTANCES):
+            p = probe(run, args.workload, spec, seed, k)
+            probes.append((seed, k, p))
+            print(args.workload, k, f"seed={seed}", " ".join(
+                f"{key}={v}" if isinstance(v, int) else f"{key}={v:.4f}"
+                for key, v in p.items()), flush=True)
+    print(summary(args.workload, probes), flush=True)
     return 0
 
 
