@@ -9,6 +9,8 @@ canonical nodes of its range, and one search path meets at most one of them,
 so a query returns a list holding each containing box's payload exactly once
 with no post-filtering.  Both store each slab's search path flat at build
 time, so a query is one bisect followed by the non-empty nodes of its path.
+An interval-tree node with at most ``intervals.FLAT`` intervals is a flat
+leaf, one list scanned in lo order, and counts as one stab node visited.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class Stab2D:
             flatten(2 * node + 1, mid, nr, d + 1, up)
 
         flatten(1, 0, m, 1, None)
+        # A recursive closure holds itself through its cell; dropping the
+        # names breaks that cycle, so the buckets are freed here, not left to
+        # a full collection.
+        del insert, flatten
         self.depth = bytes(depth)
         self.deepest = deepest
 
@@ -160,6 +166,8 @@ class Stab3D:
                 flatten(c, d + 1, up)
 
         flatten(0, 1, None)
+        # Break the recursive closures' cycles, as in Stab2D.
+        del kids, insert, flatten
         self.zdepth = bytes(zdepth)
         self.zdeepest = zdeepest
 

@@ -10,12 +10,13 @@ so the library's ``stab`` walks them.
 """
 
 import bisect
+import math
 import random
 
 from hypothesis import strategies as st
 
 from ofc2d.geometry import HORIZONTAL, VERTICAL, Rect, Segment, SlabIndex, Tiling
-from ofc2d.intervals import IntervalTree1D
+from ofc2d.intervals import FLAT, IntervalTree1D
 from ofc2d.stabbing import Stab2D
 
 
@@ -183,17 +184,19 @@ def stab_oracle_3d(items, p, z):
 
 
 def interval_tree_reference(items):
-    """IntervalTree1D built node by node with the plain per-node builder: a
-    fresh sorted endpoint set, its lower median as the center, and lambda
-    sort keys (``-hi`` for the descending list).  The library's faster
-    constructor must build the same tree."""
+    """IntervalTree1D built node by node with the plain per-node builder: at
+    most ``FLAT`` intervals make a flat leaf (center ``math.inf``, one list
+    sorted by lo with a lambda key); more take a fresh sorted endpoint set,
+    its lower median as the center, and lambda sort keys (``-hi`` for the
+    descending list).  The library's faster constructor must build the same
+    tree."""
     node = object.__new__(IntervalTree1D)
     items = list(items)
     node.size = len(items)
-    if not items:
-        node.center = 0
-        node.by_lo = []
-        node.by_hi_desc = []
+    if len(items) <= FLAT:
+        node.center = math.inf
+        node.by_lo = sorted(items, key=lambda it: it[0])
+        node.by_hi_desc = list(node.by_lo)
         node.left = node.right = None
         return node
     endpoints = sorted(set(x for lo, hi, _ in items for x in (lo, hi)))

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -190,3 +191,18 @@ def test_stab2d_reports_each_payload_once_per_box(items, x, y):
 def test_stab3d_reports_each_payload_once_per_box(items, H, x, y, z):
     p = Point(x, y)
     assert sorted(Stab3D(items, H).query(p, z)) == sorted(stab_oracle_3d(items, p, z))
+
+
+def test_builds_leave_no_cyclic_garbage():
+    """A build frees its scratch buckets and recursive helpers by reference
+    counting: the collector finds nothing after Stab2D or Stab3D is built."""
+    rng = random.Random(9)
+    rects, boxes = random_rects(60, rng), random_boxes(60, rng)
+    gc.collect()
+    gc.disable()
+    try:
+        built = [Stab2D(rects), Stab3D(boxes, 3)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(b.stored_entries for b in built)
