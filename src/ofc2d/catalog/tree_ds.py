@@ -35,7 +35,9 @@ class TreeDS:
     def stored_entries(self):
         """Entries stored so far: read on demand, so it includes the short
         regime's stabs built lazily by queries (not lazy conflict indexes).
-        The long part is 0 on a tree with no path longer than ``t2``."""
+        The mid part counts a conflict list shared by several ``RootLeafDS``
+        once per ``RootLeafDS`` that holds it.  The long part is 0 on a tree
+        with no path longer than ``t2``."""
         return (self.short.stored_entries + self.mid.stored_entries
                 + self.long.stored_entries)
 

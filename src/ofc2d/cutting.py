@@ -70,7 +70,7 @@ def _merged_edge_segments(rects, bbox):
 
 
 def _conflicts_for_cells(cells: Tiling, source_rects):
-    """Per-cell list of source rect indices intersecting the cell.
+    """Per-cell list of the source rects intersecting the cell, in source order.
 
     Each slab of the cells' index holds its cells in ylo order, partitioning
     y, so the cells a rect meets in a slab form a run found by binary search.
@@ -80,7 +80,7 @@ def _conflicts_for_cells(cells: Tiling, source_rects):
     xs, starts, ylos, rects = index.xs, index.starts, index.ylos, index.rects
     nslab = len(xs) - 1
     conflicts = [[] for _ in cells.rects]
-    for ri, r in enumerate(source_rects):
+    for r in source_rects:
         i0 = bisect.bisect_right(xs, r.xlo) - 1
         i1 = bisect.bisect_left(xs, r.xhi)
         for i in range(max(i0, 0), min(i1, nslab)):
@@ -89,12 +89,12 @@ def _conflicts_for_cells(cells: Tiling, source_rects):
             k1 = bisect.bisect_left(ylos, r.yhi, lo, hi)
             for cell in rects[k0:k1]:
                 lst = conflicts[cell.id]
-                if not lst or lst[-1] != ri:
-                    lst.append(ri)
+                if not lst or lst[-1] is not r:
+                    lst.append(r)
     return conflicts
 
 
-def _split_overfull(cells_conf, budget, source_rects):
+def _split_overfull(cells_conf, budget):
     """Split any cell with more than ``budget`` conflicts at the median
     interior conflict-edge coordinate until every cell fits."""
     out = []
@@ -106,8 +106,7 @@ def _split_overfull(cells_conf, budget, source_rects):
             continue
         xlo, xhi, ylo, yhi = key
         xcand, ycand = [], []
-        for ri in conf:
-            r = source_rects[ri]
+        for r in conf:
             for x in (r.xlo, r.xhi):
                 if xlo < x < xhi:
                     xcand.append(x)
@@ -126,14 +125,7 @@ def _split_overfull(cells_conf, budget, source_rects):
             c = ycand[len(ycand) // 2]
             halves = ((xlo, xhi, ylo, c), (xlo, xhi, c, yhi))
         for hx0, hx1, hy0, hy1 in halves:
-            sub = [
-                ri
-                for ri in conf
-                if source_rects[ri].xlo < hx1
-                and hx0 < source_rects[ri].xhi
-                and source_rects[ri].ylo < hy1
-                and hy0 < source_rects[ri].yhi
-            ]
+            sub = [r for r in conf if r.xlo < hx1 and hx0 < r.xhi and r.ylo < hy1 and hy0 < r.yhi]
             stack.append(((hx0, hx1, hy0, hy1), sub))
     return out
 
@@ -152,7 +144,7 @@ class ConflictIndex:
 
 
 class Cutting:
-    """Cells tiling the source bbox + per-cell conflict lists of source ids.
+    """Cells tiling the source bbox + per-cell conflict lists of source rects.
 
     ``conflicts[i]`` parallels ``cells.rects[i]``.  ``locate`` builds a
     cell's ``ConflictIndex`` the first time it locates in that cell and
@@ -168,15 +160,12 @@ class Cutting:
         self.target = target
         self._ci = {}
 
-    def conflict_rects(self, cell_idx):
-        return [self.source.rects[ri] for ri in self.conflicts[cell_idx]]
-
     def locate(self, cell_idx, p, counters=None) -> int:
         """Id of the source rect containing point ``p`` of cell ``cell_idx``,
         found in the cell's conflict index; counts one located cell."""
         ci = self._ci.get(cell_idx)
         if ci is None:
-            ci = ConflictIndex(self.cells.rects[cell_idx], self.conflict_rects(cell_idx))
+            ci = ConflictIndex(self.cells.rects[cell_idx], self.conflicts[cell_idx])
             self._ci[cell_idx] = ci
         if counters is not None:
             counters.cells_located += 1
@@ -198,8 +187,7 @@ def verify_cutting(c: Cutting, check_coverage=True):
     if check_coverage:
         for i, cell in enumerate(c.cells.rects):
             covered = 0
-            for ri in c.conflicts[i]:
-                s = c.source.rects[ri]
+            for s in c.conflicts[i]:
                 w = min(s.xhi, cell.xhi) - max(s.xlo, cell.xlo)
                 h = min(s.yhi, cell.yhi) - max(s.ylo, cell.ylo)
                 if w > 0 and h > 0:
@@ -215,7 +203,7 @@ def cutting_build(source: Tiling, r: int, rng: random.Random) -> Cutting:
     bbox = source.bbox
     if r == 1:
         cells = Tiling(bbox, [Rect(0, bbox.xlo, bbox.xhi, bbox.ylo, bbox.yhi)])
-        return Cutting(cells, [list(range(n))], source, r)
+        return Cutting(cells, [source.rects], source, r)
     p = min(1.0, SAMPLE_RHO * r / n)
     budget = C_CONF * n // r
     for _ in range(CUTTING_MAX_RETRIES):
@@ -223,9 +211,7 @@ def cutting_build(source: Tiling, r: int, rng: random.Random) -> Cutting:
         segs = _merged_edge_segments(sampled, bbox)
         coarse = trapezoidal_decompose(bbox, segs)
         conf = _conflicts_for_cells(coarse, source.rects)
-        pairs = _split_overfull(
-            [(c.key(), cf) for c, cf in zip(coarse.rects, conf)], budget, source.rects
-        )
+        pairs = _split_overfull([(c.key(), cf) for c, cf in zip(coarse.rects, conf)], budget)
         # The cell budget is the one check a sample can fail: the split caps
         # every conflict list, so a failed verification below is a defect.
         if len(pairs) > C_CUT * r:

@@ -20,7 +20,7 @@ from ofc2d.gen import (
     random_tiling,
     random_tree_catalog,
 )
-from ofc2d.geometry import Rect
+from ofc2d.geometry import Rect, Tiling
 from ofc2d.oracle import oracle_query
 from ofc2d.gen import random_point
 
@@ -211,3 +211,20 @@ def test_catalogs_check_adjacency_and_bbox(build):
         build(_pair((1,), ()))
     with pytest.raises(ValueError, match="bboxes"):
         build(_pair((1,), (0,), bbox1=Rect(-1, 0, 16, 0, 8)))
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="vertex tilings are not checked for overlaps")
+def test_tree_rejects_overlapping_tiling():
+    """A vertex tiling whose rects overlap is not a subdivision.  Accepted,
+    it makes TreeDS, ShortTreeDS, MidTreeDS and RootLeafDS answer
+    {0: 1, 1: 0} at (1, 1) on the path (0, 1), where oracle_query answers
+    {0: 0, 1: 0}; so the catalog must refuse it, as it refuses the other
+    malformed catalogs above."""
+    bbox = Rect(-1, 0, 8, 0, 8)
+    vertices = {
+        0: CatalogVertex(0, Tiling(bbox, [Rect(0, 0, 8, 0, 8), Rect(1, 0, 4, 0, 4)]), (1,)),
+        1: CatalogVertex(1, Tiling(bbox, [Rect(0, 0, 8, 0, 8)]), (0,)),
+    }
+    with pytest.raises(ValueError):
+        CatalogTree(vertices, 0)

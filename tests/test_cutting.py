@@ -28,7 +28,7 @@ def test_coarsest_cutting():
     c = cutting_build(src, 1, rng)
     assert len(c.cells) == 1
     assert c.cells.rects[0].key() == src.bbox.key()
-    assert sorted(c.conflicts[0]) == list(range(64))
+    assert sorted(r.id for r in c.conflicts[0]) == list(range(64))
     verify_cutting(c)
 
 
@@ -46,7 +46,7 @@ def test_seed11_budgets():
     # Direct per-cell intersection recount, independent of the build path.
     for i, cell in enumerate(c.cells.rects):
         direct = [r.id for r in src.rects if r.intersects(cell)]
-        assert sorted(c.conflicts[i]) == sorted(direct)
+        assert sorted(r.id for r in c.conflicts[i]) == sorted(direct)
         assert len(direct) <= C_CONF * 1024 // 32
     verify_cutting(c)
 
@@ -84,6 +84,29 @@ def test_failed_verification_is_not_retried(monkeypatch):
     assert len(decompositions) == 1
 
 
+@st.composite
+def tilings_and_targets(draw):
+    """A guillotine tiling and a cutting target r in [1, n]."""
+    tiling = draw(guillotine_tilings(bbox_of(16), 12))
+    return tiling, draw(st.integers(1, len(tiling)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tilings_and_targets(), st.integers(0, 2**32))
+def test_conflict_lists_hold_the_source_rects(case, seed):
+    """Each cell's conflict list is the source rects meeting the cell, the
+    objects themselves in source order; a one-cell cutting's list is the
+    source's own sequence."""
+    source, r = case
+    c = cutting_build(source, r, random.Random(seed))
+    for cell, conf in zip(c.cells.rects, c.conflicts, strict=True):
+        expected = [s for s in source.rects if s.intersects(cell)]
+        assert len(conf) == len(expected)
+        assert all(a is b for a, b in zip(conf, expected))
+    if r == 1:
+        assert c.conflicts[0] is source.rects
+
+
 def test_locate_agrees_with_scan():
     src, rng = make_source(512, 8)
     c = cutting_build(src, 30, rng)
@@ -96,14 +119,14 @@ def test_locate_agrees_with_scan():
         assert len(scan) == 1 and scan[0].id == ci
         # The source rect containing p is in the located cell's conflicts.
         true_src = next(r.id for r in src.rects if r.contains(p))
-        assert true_src in {src.rects[ri].id for ri in conf}
+        assert true_src in {r.id for r in conf}
 
 
 def test_locate_half_open_and_outside():
     bbox = Rect(-1, 0, 8, 0, 8)
     cells = Tiling(bbox, [Rect(0, 0, 4, 0, 8), Rect(1, 4, 8, 0, 8)])
     src = Tiling(bbox, [Rect(0, 0, 4, 0, 8), Rect(1, 4, 8, 0, 8)])
-    c = Cutting(cells, [[0], [1]], src, 2)
+    c = Cutting(cells, [[r] for r in src.rects], src, 2)
     assert c.cells.index().locate(Point(4, 3)).id == 1
     with pytest.raises(PointOutsideBBox):
         c.cells.index().locate(Point(8, 0))
@@ -120,7 +143,7 @@ def test_conflict_index_locates_source_rect():
         rid = c.locate(ci, p, w)
         assert rid == next(r.id for r in src.rects if r.contains(p))
         assert w.pl_comparisons > 0
-        ref = clipped_slab_index(c.cells.rects[ci], c.conflict_rects(ci))
+        ref = clipped_slab_index(c.cells.rects[ci], c.conflicts[ci])
         index = c._ci[ci]
         assert index.index.entries == ref.entries
         # A second locate in the cell builds no new index.
