@@ -35,6 +35,7 @@ from .catalog.long_path import LongPathDS
 from .catalog.mid_tree import MidTreeDS
 from .catalog.model import (CatalogGraph, CatalogTree, PathQuery, SubgraphQuery,
                             regime_heights)
+from .catalog.path_ds import block_size
 from .catalog.short_tree import ShortTreeDS
 from .catalog.tree_ds import TreeDS
 from .counters import WorkCounters
@@ -109,6 +110,12 @@ def cmd_build_stats(args, out=None):
         # Set-up entries per regime; they sum to stored_entries.
         for regime in ("short", "mid", "long"):
             print(f"entries_{regime} {getattr(ds, regime).stored_entries}", file=out)
+    long = ds.long if isinstance(ds, TreeDS) else ds
+    if isinstance(long, LongPathDS):
+        # The block size follows from n alone; a store built for no path
+        # has no blocks.
+        print(f"long_block_size {block_size(n)}", file=out)
+        print(f"long_blocks {sum(len(s.blocks) for s in long.structures)}", file=out)
     mid = ds.mid.base if isinstance(ds, TreeDS) else ds
     if isinstance(mid, MidTreeDS):
         # Distinct (vertex, rho) cuttings, and the vertex cuttings of all

@@ -186,11 +186,15 @@ class SlabIndex:
         self.entries = len(flat)
 
     def locate(self, p: Point, counters=None) -> Rect:
-        if not self.bbox.contains(p):
-            raise PointOutsideBBox(f"{p} outside {self.bbox}")
-        i = bisect.bisect_right(self.xs, p.x) - 1
+        # The two containment tests are ``Rect.contains`` written out: this
+        # is the innermost call of every conflict-list locate.
+        x, y = p.x, p.y
+        b = self.bbox
+        if not (b.xlo <= x < b.xhi and b.ylo <= y < b.yhi):
+            raise PointOutsideBBox(f"{p} outside {b}")
+        i = bisect.bisect_right(self.xs, x) - 1
         lo, hi = self.starts[i], self.starts[i + 1]
-        j = bisect.bisect_right(self.ylos, p.y, lo, hi) - 1
+        j = bisect.bisect_right(self.ylos, y, lo, hi) - 1
         if counters is not None:
             counters.pl_comparisons += search_cost(len(self.xs)) + search_cost(
                 max(1, hi - lo)
@@ -198,7 +202,7 @@ class SlabIndex:
         if j < lo:
             raise PointOutsideBBox(f"{p} not covered in slab {i}")
         r = self.rects[j]
-        if not r.contains(p):
+        if not (r.xlo <= x < r.xhi and r.ylo <= y < r.yhi):
             raise PointOutsideBBox(f"{p} not covered (gap at slab {i})")
         return r
 

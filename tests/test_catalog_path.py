@@ -5,6 +5,7 @@ import pytest
 
 from ofc2d.catalog.long_path import LongPathDS
 from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
+from ofc2d.catalog.path_ds import BLOCK_C
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import UnknownVertex, VertexNotOnPath
 from ofc2d.gen import random_point, random_tree_catalog
@@ -25,12 +26,14 @@ def test_single_vertex_path():
 
 def test_block_count_ceiling():
     rng = random.Random(2)
-    # 10 vertices, 16 rects total => block size ceil(log2 16) = 4 => 3 blocks.
-    cat = random_tree_catalog(10, 16, 9, rng)
+    # 50 vertices, 64 rects total => block size BLOCK_C * ceil(log2 64) = 24
+    # => 3 blocks, the last one short.
+    cat = random_tree_catalog(50, 64, 49, rng)
     ds = LongPathDS(cat)
     assert len(ds.structures) == 1  # a chain is one heavy path
     store = ds.structures[0]
-    assert store.block_size == 4
+    assert BLOCK_C == 4
+    assert store.block_size == 24
     assert len(store.blocks) == 3
 
 
@@ -60,6 +63,43 @@ def test_random_queries_match_oracle(monkeypatch):
         assert ans == oracle_query(cat, q.q, path)
         assert c.structures_queried == 1  # one run along the one chain
         assert 1 <= len(stabs) <= math.ceil(len(path) / block_size) + 1
+
+
+def test_runs_across_interior_blocks(monkeypatch):
+    """Runs that start and end inside blocks of a 3-block chain, in both
+    directions: the middle block is an interior block, kept whole."""
+    rng = random.Random(8)
+    cat = random_tree_catalog(96, 512, 95, rng)
+    ds = LongPathDS(cat)
+    store = ds.structures[0]
+    size = store.block_size
+    assert size == BLOCK_C * 9 and len(store.blocks) == 3
+    stabs = []
+    real_stab = Stab2D.query
+
+    def counted(self, q, counters=None):
+        stabs.append(q)
+        return real_stab(self, q, counters)
+
+    monkeypatch.setattr(Stab2D, "query", counted)
+    for _ in range(40):
+        # Each end strictly inside its block, so both end blocks are
+        # filtered.
+        lo = rng.randrange(1, size - 1)
+        hi = rng.randrange(2 * size + 1, 96 - 1)
+        path = list(range(lo, hi + 1))
+        if rng.random() < 0.5:
+            path.reverse()
+        q = PathQuery(random_point(cat.bbox, rng), tuple(path))
+        stabs.clear()
+        assert ds.query(q) == oracle_query(cat, q.q, path)
+        assert len(stabs) == 3 <= math.ceil(len(path) / size) + 1
+    for path in (list(range(size + 3, 2 * size + 2)), list(range(2 * size - 2, size, -1))):
+        # Runs inside one or across two blocks, starting off a block edge.
+        q = PathQuery(random_point(cat.bbox, rng), tuple(path))
+        stabs.clear()
+        assert ds.query(q) == oracle_query(cat, q.q, path)
+        assert len(stabs) <= math.ceil(len(path) / size) + 1
 
 
 def test_vertex_not_on_path():

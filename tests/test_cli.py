@@ -58,6 +58,8 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     parts = [int(fields[f"entries_{r}"]) for r in ("short", "mid", "long")]
     assert parts[0] > 0 and parts[1] > 0 and parts[2] == 0
     assert sum(parts) == int(fields["stored_entries"])
+    # The block size follows from n = 480 alone: 4 * ceil(log2 480) = 36.
+    assert (fields["long_block_size"], fields["long_blocks"]) == ("36", "0")
     # The mid regime builds each (vertex, rho) cutting once, and every
     # root-leaf node that uses one counts it once; the pairs depend on the
     # tree alone, so mid-tree reports the same counts.
@@ -76,6 +78,15 @@ def test_build_stats_reports_entries(tmp_path, capsys):
     assert int(fields["entries_long"]) > 0
     assert sum(int(fields[f"entries_{r}"]) for r in ("short", "mid", "long")) == \
         int(fields["stored_entries"])
+    # An 80-vertex chain of 320 rects: blocks of 4 * ceil(log2 320) = 36
+    # vertices, so ceil(80 / 36) = 3 blocks, in tree and long-path alike.
+    assert (fields["long_block_size"], fields["long_blocks"]) == ("36", "3")
+    assert main(["build-stats", "--instance", str(chain), "--structure", "long-path",
+                 "--seed", "4"]) == 0
+    lp = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.strip().splitlines())
+    assert lp["stored_entries"] == fields["entries_long"]
+    assert (lp["long_block_size"], lp["long_blocks"]) == ("36", "3")
+    assert "entries_long" not in lp and "mid_cuttings_built" not in lp
     # Two vertices of one rect each: log2 log2 n is 0, so no exponent is fit.
     body = ("adj 0 1\nadj 1 0\nvertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"
             "vertex 1 1\nbbox 0 8 0 8\nrect 1 0 8 0 8\n")
@@ -89,6 +100,8 @@ def test_build_stats_reports_entries(tmp_path, capsys):
                       for line in capsys.readouterr().out.strip().splitlines())
         assert fields["total_rects"] == "2"
         assert fields["space_exponent"] == "0.000"
+        # Only the tree and long-path structures have long-path stores.
+        assert ("long_blocks" in fields) == (kind in ("tree", "long-path"))
 
 
 def test_build_stats_parse_error_exit_code(tmp_path, capsys):

@@ -1,0 +1,244 @@
+#!/usr/bin/env python3
+"""Compare the warm query latency of two checkouts on one benchmark
+instance, slice by slice in turn, in two persistent worker processes.
+
+Run from the repository root::
+
+    python3 tools/abpair.py PARENT_ROOT CHANGE_ROOT --workload tree-long \\
+        --seed 1 --instance 0 --rounds 24 [--slice 500] [--out FILE]
+
+Each root is a checkout with ``perfbench/run.py`` and ``src/ofc2d``.  One
+worker per root imports that checkout's ``run`` module and library, loads and
+builds instance ``--instance`` of seed ``--seed`` through its ``set_up``,
+and runs the query stream once.  That first pass gives the answer digest of
+``tools/fingerprint.py``; the runner stops with exit code 1, before it
+times anything, unless both digests are equal.  Each worker then replays the
+stream once untimed.  The workers are started and set up one at a time.
+
+A round times one slice of ``--slice`` consecutive queries of the stream
+(the next slice each round, wrapping round) in one worker, then the same
+slice in the other; the order swaps every round, and only one worker runs
+at a time.  A slice runs through that checkout's ``run_pass``; its p50 is
+the median of its per-query latencies.  The round's ratio is the change's
+p50 over the parent's, so a ratio below 1 means the change was faster.
+
+The first half of the rounds runs in one pair of workers, parent started
+first, and the second half in a fresh pair, change started first.  Two
+workers running the same checkout differ by a few percent depending on
+which one started first (on a shared two-core host, the later one was
+faster on ``graph-subgraph`` in each of 10 runs of 160 rounds, median ratio
+0.98); the swap cancels that.
+
+Printed, and written as JSON to ``--out``: the median round ratio, its
+quartiles (IQR), the number of rounds where the change was faster, and a
+bootstrap 95% interval of the median ratio (2000 resamples of the rounds,
+fixed seed).  The record also holds each side's set-up time, digest and
+median slice p50, and every round.  The runner adds evidence next to whole
+alternating ``perfbench`` runs; it measures warm queries only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+SIDES = ("parent", "change")
+RESAMPLES = 2000
+
+
+def worker(root):
+    """Serve one checkout: one JSON command per stdin line, one JSON reply
+    per stdout line."""
+    root = Path(root).resolve()
+    sys.path.insert(0, str(root / "perfbench"))
+    sys.path.insert(1, str(TOOLS))
+    import run
+    from fingerprint import digests
+
+    run._import_library()
+    import ofc2d
+
+    out = sys.stdout
+    sys.stdout = sys.stderr  # nothing else may write to the reply stream
+    ds = stream = None
+    for line in sys.stdin:
+        cmd = json.loads(line)
+        if cmd["op"] == "setup":
+            if cmd["work"] is not None:
+                run.WORK = Path(cmd["work"])
+                run.WORK.mkdir(parents=True, exist_ok=True)
+            setup_s, _, ds, stream = run.set_up(cmd["name"], cmd["spec"], cmd["seed"], cmd["k"])
+            answer_digest = digests(run, ds, stream)[0]
+            run.run_pass(ds, stream, False)
+            reply = {"setup_s": setup_s, "answer_digest": answer_digest,
+                     "queries": len(stream), "library": ofc2d.__file__}
+        else:
+            start, count = cmd["start"], cmd["count"]
+            part = [stream[(start + i) % len(stream)] for i in range(count)]
+            lat = run.run_pass(ds, part, False)[1]
+            reply = {"p50_us": statistics.median(lat) / 1e3}
+        out.write(json.dumps(reply) + "\n")
+        out.flush()
+
+
+class Worker:
+    def __init__(self, root):
+        self.proc = subprocess.Popen([sys.executable, str(Path(__file__).resolve()),
+                                      "--worker", str(root)],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(self, **cmd):
+        self.proc.stdin.write(json.dumps(cmd) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self):
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:  # the worker has already exited
+            pass
+        self.proc.wait()
+        self.proc.stdout.close()
+
+
+def bootstrap_ci(ratios, resamples=RESAMPLES):
+    """2.5th and 97.5th percentiles of the median of ``ratios`` resampled
+    with replacement."""
+    rng = random.Random(0)
+    meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                  for _ in range(resamples))
+    return meds[int(0.025 * resamples)], meds[int(0.975 * resamples) - 1]
+
+
+def summarize(ratios):
+    q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    lo, hi = bootstrap_ci(ratios)
+    return {"rounds": len(ratios), "ratio_median": med, "ratio_iqr": [q1, q3],
+            "change_faster": sum(1 for r in ratios if r < 1), "ci95": [lo, hi]}
+
+
+class AnswersDiffer(Exception):
+    pass
+
+
+def start_pair(roots, order, name, spec, seed, k, work):
+    """Workers for ``roots`` (side -> root), started and set up one at a
+    time in ``order``: (side -> worker, side -> set-up reply)."""
+    workers, setups = {}, {}
+    try:
+        for side in order:
+            workers[side] = Worker(roots[side])
+            setups[side] = workers[side].ask(
+                op="setup", name=name, spec=spec, seed=seed, k=k,
+                work=None if work is None else str(Path(work) / side))
+            library = Path(setups[side].pop("library")).resolve()
+            if not library.is_relative_to(Path(roots[side]).resolve() / "src"):
+                raise RuntimeError(f"{side} worker imported ofc2d from {library}, "
+                                   f"not from {roots[side]}/src")
+        digests = [setups[side]["answer_digest"] for side in SIDES]
+        if digests[0] != digests[1]:
+            raise AnswersDiffer(f"{name} seed {seed} instance {k}: answer digests differ "
+                                f"({digests[0][:12]} parent, {digests[1][:12]} change)")
+    except BaseException:
+        for w in workers.values():
+            w.close()
+        raise
+    return workers, setups
+
+
+def abpair(parent_root, change_root, name, spec, seed, k, rounds, slice_len, work=None):
+    """The record of one paired run of at least 2 ``rounds``; raises
+    ``AnswersDiffer`` unless both checkouts answer the instance's stream
+    alike.  ``work``, if given, is the directory each worker writes its
+    instance file under (one subdirectory per side); by default each
+    checkout's own."""
+    roots = dict(zip(SIDES, (parent_root, change_root)))
+    rows, setups = [], []
+    for half, start_order in enumerate((SIDES, SIDES[::-1])):
+        workers, setup = start_pair(roots, start_order, name, spec, seed, k, work)
+        setups.append(setup)
+        nq = setup["parent"]["queries"]
+        try:
+            for i in range(half * (rounds // 2), rounds if half else rounds // 2):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                start = i * slice_len % nq
+                p50 = {side: workers[side].ask(op="slice", start=start,
+                                               count=slice_len)["p50_us"]
+                       for side in order}
+                rows.append({"started_first": start_order[0], "first": order[0],
+                             "start": start, "parent_p50_us": p50["parent"],
+                             "change_p50_us": p50["change"],
+                             "ratio": p50["change"] / p50["parent"]})
+        finally:
+            for w in workers.values():
+                w.close()
+    return {"workload": name, "spec": spec, "seed": seed, "instance": k,
+            "slice": slice_len, **summarize([r["ratio"] for r in rows]),
+            "sides": {side: {"answer_digest": setups[0][side]["answer_digest"],
+                             "queries": setups[0][side]["queries"],
+                             "setup_s": [st[side]["setup_s"] for st in setups],
+                             "p50_us_median": statistics.median(
+                                 r[f"{side}_p50_us"] for r in rows)}
+                      for side in SIDES},
+            "per_round": rows}
+
+
+def report(rec):
+    iqr, ci = rec["ratio_iqr"], rec["ci95"]
+    sides = rec["sides"]
+    return "\n".join([
+        f"abpair {rec['workload']} seed={rec['seed']} instance={rec['instance']} "
+        f"rounds={rec['rounds']} slice={rec['slice']}",
+        "p50_us parent={:.2f} change={:.2f}".format(
+            sides["parent"]["p50_us_median"], sides["change"]["p50_us_median"]),
+        f"ratio median={rec['ratio_median']:.4f} iqr={iqr[0]:.4f}-{iqr[1]:.4f} "
+        f"change_faster={rec['change_faster']}/{rec['rounds']} ci95={ci[0]:.4f}-{ci[1]:.4f}",
+    ])
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        worker(argv[1])
+        return 0
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_root", type=Path)
+    ap.add_argument("change_root", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--instance", type=int, required=True)
+    ap.add_argument("--rounds", type=int, required=True)
+    ap.add_argument("--slice", type=int, default=500)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+    if args.rounds < 2 or args.slice < 1:
+        ap.error("--rounds must be at least 2 and --slice at least 1")
+    sys.path.insert(0, str(args.parent_root.resolve() / "perfbench"))
+    import run
+
+    if args.workload not in run.WORKLOADS:
+        ap.error(f"unknown workload {args.workload}; one of {sorted(run.WORKLOADS)}")
+    try:
+        rec = abpair(args.parent_root.resolve(), args.change_root.resolve(), args.workload,
+                     run.WORKLOADS[args.workload], args.seed, args.instance, args.rounds,
+                     args.slice)
+    except AnswersDiffer as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    print(report(rec), flush=True)
+    if args.out is not None:
+        args.out.write_text(json.dumps(rec, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,10 +41,16 @@ INSTANCES = range(5)
 def fingerprint(run, name, spec, k):
     """Answer, full and counters digests of instance ``k`` of workload
     ``name``; ``run`` is the imported ``perfbench/run.py``."""
+    _, _, ds, stream = run.set_up(name, spec, SEED, k)
+    return digests(run, ds, stream)
+
+
+def digests(run, ds, stream):
+    """Answer, full and counters digests of one pass of ``stream`` on
+    ``ds``, a structure built by ``run.set_up``."""
     from ofc2d.counters import WorkCounters
     from ofc2d.errors import Ofc2dError
 
-    _, _, ds, stream = run.set_up(name, spec, SEED, k)
     answers, h = hashlib.sha256(), hashlib.sha256()
     for q in stream:
         c = WorkCounters()
