@@ -1,10 +1,16 @@
 """Structure for long paths in tall catalog trees.
 
 The tree is split by heavy-path decomposition; each heavy path carries one
-blocked path store (``PathDS``).  A query path is checked once, here; it
-crosses at most ~2 log n heavy paths (once per direction from its apex), each
-in one contiguous run, so the query cost is about log² n plus the blocked
-stores' cost along the path.
+blocked path store (``PathDS``).  A query path crosses at most ~2 log n heavy
+paths (once per direction from its apex), each in one contiguous run, so the
+query cost is about log² n plus the blocked stores' cost along the path.
+
+The path is checked by those runs, not vertex by vertex: each run must equal
+a contiguous slice of its heavy path, read either way (one tuple comparison),
+and consecutive runs must meet at a tree edge.  For a path of distinct
+vertices this holds exactly when each vertex is adjacent to the next, as
+``check_path`` asks.  A path the runs refuse, or with a vertex no heavy path
+holds, goes to ``check_path``, which words the error.
 """
 
 from __future__ import annotations
@@ -42,16 +48,43 @@ class LongPathDS:
         self.stored_entries = sum(s.stored_entries for s in self.structures)
 
     def query(self, q: PathQuery, counters=None) -> QueryAnswer:
-        check_path(self.tree, q.path)
+        runs = self._runs(q.path)
+        if runs is None:
+            check_path(self.tree, q.path)
+            # On a tree without stores every vertex is unknown to path_of.
+            assert not self.structures, f"run check refused the walk {q.path}"
         if not self.structures:
             raise InvalidParameter(f"every path of this tree is shorter than {self.min_len}"
                                    " vertices, so no long-path store was built")
         out = {}
-        # A checked walk has no repeated vertex, so it meets each heavy path
-        # in one contiguous run; a run counts as one structure queried.
-        for pi, run in groupby(q.path, self.path_of.__getitem__):
-            run = tuple(run)
-            self.structures[pi].query(q.q, run[0], run[-1], out, counters)
+        # A run counts as one structure queried.
+        for s, first, last in runs:
+            s.query(q.q, first, last, out, counters)
             if counters is not None:
                 counters.structures_queried += 1
         return QueryAnswer(out)
+
+    def _runs(self, path):
+        """(store, first vertex, last vertex) of each run of ``path`` on one
+        heavy path, or None unless every vertex lies on a heavy path, each run
+        is a contiguous slice of its heavy path, read either way, and each
+        run's last vertex is a tree neighbour of the next run's first."""
+        parent = self.tree.parent
+        out = []
+        prev = None
+        try:
+            for pi, run in groupby(path, self.path_of.__getitem__):
+                run = tuple(run)
+                s = self.structures[pi]
+                first, last = run[0], run[-1]
+                lo, hi = s.pos[first], s.pos[last]
+                if (s.chain[lo:hi + 1] != run if lo <= hi
+                        else s.chain[hi:lo + 1] != run[::-1]):
+                    return None
+                if prev is not None and parent[prev] != first and parent[first] != prev:
+                    return None
+                out.append((s, first, last))
+                prev = last
+        except KeyError:
+            return None
+        return out

@@ -12,8 +12,8 @@ per block vertex, so a larger block trades stab descents for hits outside
 the run in its two end blocks.  With ``BLOCK_C`` = 4 the long-path queries
 of the benchmark visit less than half the stab nodes of ``BLOCK_C`` = 1
 and store about a fifth more entries; 2, 3, 6 and 8 measured no faster.
-``LongPathDS`` keeps one store per heavy path and checks the query path
-before it asks a store for a run.
+``LongPathDS`` keeps one store per heavy path and checks each run of the
+query path against ``chain`` before it asks the store for that run.
 """
 
 from __future__ import annotations
@@ -34,11 +34,13 @@ def block_size(n: int) -> int:
 
 
 class PathDS:
-    __slots__ = ("pos", "block_size", "blocks", "stored_entries")
+    __slots__ = ("chain", "pos", "block_size", "blocks", "stored_entries")
 
     def __init__(self, tree: CatalogTree, chain):
-        """``chain``: a list of ``tree``'s vertex ids in path order."""
+        """``chain``: a list of ``tree``'s vertex ids in path order, kept as
+        the tuple ``chain``; ``pos`` maps each to its index."""
         self.block_size = size = block_size(tree.n)
+        self.chain = tuple(chain)
         self.pos = {v: i for i, v in enumerate(chain)}
         self.blocks = []
         self.stored_entries = 0

@@ -1,10 +1,13 @@
+import functools
 import math
 import random
+from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofc2d.catalog.long_path import LongPathDS
-from ofc2d.catalog.model import PathQuery, longest_path, regime_heights
+from ofc2d.catalog.model import PathQuery, check_path, longest_path, regime_heights
 from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import InvalidParameter, Ofc2dError, UnknownVertex, VertexNotOnPath
@@ -86,6 +89,72 @@ def test_long_rejects_non_walks():
              if v not in cat.vertices[a].adjacency)
     with pytest.raises(VertexNotOnPath):
         ds.query(PathQuery(q, (a, b)))
+
+
+@functools.cache
+def tall_setup(seed):
+    """A tall catalog, its ``TreeDS`` and 40 of its paths longer than t2."""
+    cat, rng = tall_catalog(seed)
+    ds = TreeDS(cat, rng=rng)
+    return cat, ds, long_paths(cat, rng, ds.t2, 40)
+
+
+def outcome(query):
+    """``query()``'s answer, or the type and message of the error it raised."""
+    try:
+        return query()
+    except Ofc2dError as e:
+        return type(e), str(e)
+
+
+CORRUPTIONS = ("none", "drop inner", "swap neighbours", "splice", "unknown vertex",
+               "reverse one run")
+
+
+@st.composite
+def corrupted_paths(draw, cat, ds, paths):
+    """A long path of ``paths`` (a walk from ``path_between``), corrupted by
+    one of ``CORRUPTIONS`` or left as it is."""
+    path = draw(st.sampled_from(paths))
+    how = draw(st.sampled_from(CORRUPTIONS))
+    i = draw(st.integers(1, len(path) - 2))
+    if how == "drop inner":
+        return how, path[:i] + path[i + 1:]
+    if how == "swap neighbours":
+        return how, path[:i] + (path[i + 1], path[i]) + path[i + 2:]
+    if how == "splice":
+        other = draw(st.sampled_from([p for p in paths if p != path]))
+        j = draw(st.integers(1, len(other) - 1))
+        # Drop the vertices the two parts share, as a query path repeats none.
+        return how, tuple(dict.fromkeys(path[:i] + other[j:]))
+    if how == "unknown vertex":
+        return how, path[:i] + (max(cat.vertices) + 1,) + path[i + 1:]
+    if how == "reverse one run":
+        runs = [tuple(r) for _, r in groupby(path, ds.long.path_of.__getitem__)]
+        k = draw(st.sampled_from([k for k, r in enumerate(runs) if len(r) > 1]))
+        runs[k] = runs[k][::-1]
+        return how, sum(runs, ())
+    return how, path
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_long_queries_check_paths_like_check_path(data):
+    """Valid long paths answer as the oracle does; a corrupted one makes
+    ``LongPathDS.query``, and ``TreeDS.query`` when it routes it to the long
+    regime, raise the error of ``check_path``, with the same message."""
+    cat, ds, paths = tall_setup(data.draw(st.sampled_from((3, 5, 8))))
+    how, path = data.draw(corrupted_paths(cat, ds, paths))
+    q = PathQuery(random_point(cat.bbox, random.Random(data.draw(st.integers(0, 2 ** 32)))),
+                  path)
+    want = outcome(lambda: check_path(cat, path))
+    if how == "none":
+        assert want is None
+    if want is None:
+        want = oracle_query(cat, q.q, path)
+    assert outcome(lambda: ds.long.query(q)) == want
+    if ds.regime(len(path)) == "long":
+        assert outcome(lambda: ds.query(q)) == want
 
 
 def test_dispatcher_all_regimes_match_oracle():

@@ -22,19 +22,24 @@ at a time.  A slice runs through that checkout's ``run_pass``; its p50 is
 the median of its per-query latencies.  The round's ratio is the change's
 p50 over the parent's, so a ratio below 1 means the change was faster.
 
-The first half of the rounds runs in one pair of workers, parent started
-first, and the second half in a fresh pair, change started first.  Two
-workers running the same checkout differ by a few percent depending on
-which one started first (on a shared two-core host, the later one was
-faster on ``graph-subgraph`` in each of 10 runs of 160 rounds, median ratio
-0.98); the swap cancels that.
+The rounds are split evenly over ``PAIRS`` = 4 pairs of workers, one pair
+after another, each pair started afresh; the parent starts first in the
+first and third pair, the change in the second and fourth.  Two workers
+running the same checkout differ by a few percent depending on which one
+started first (on a shared two-core host, the later one was faster on
+``graph-subgraph`` in each of 10 runs of 160 rounds, median ratio 0.98), and
+a pair as a whole can sit a few percent off 1.0; alternating the start order
+cancels the first, and more pairs average out the second.
 
 Printed, and written as JSON to ``--out``: the median round ratio, its
 quartiles (IQR), the number of rounds where the change was faster, and a
-bootstrap 95% interval of the median ratio (2000 resamples of the rounds,
-fixed seed).  The record also holds each side's set-up time, digest and
-median slice p50, and every round.  The runner adds evidence next to whole
-alternating ``perfbench`` runs; it measures warm queries only.
+bootstrap 95% interval of the median ratio.  Each of its 2000 resamples
+(fixed seed) draws the pairs with replacement, then each drawn pair's
+rounds with replacement, so the interval includes the spread between
+pairs, not only between rounds.  The record also holds each side's set-up
+times, digest and median slice p50, and every round with its pair.  The
+runner adds evidence next to whole alternating ``perfbench`` runs; it
+measures warm queries only.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
+PAIRS = 4
 RESAMPLES = 2000
 
 
@@ -110,18 +116,26 @@ class Worker:
         self.proc.stdout.close()
 
 
-def bootstrap_ci(ratios, resamples=RESAMPLES):
-    """2.5th and 97.5th percentiles of the median of ``ratios`` resampled
+def bootstrap_ci(groups, resamples=RESAMPLES):
+    """2.5th and 97.5th percentiles of the median of the ratios in
+    ``groups`` (one non-empty list per worker pair), resampled in two
+    stages: the groups with replacement, then each drawn group's ratios
     with replacement."""
     rng = random.Random(0)
-    meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                  for _ in range(resamples))
+    meds = []
+    for _ in range(resamples):
+        sample = []
+        for g in rng.choices(groups, k=len(groups)):
+            sample += rng.choices(g, k=len(g))
+        meds.append(statistics.median(sample))
+    meds.sort()
     return meds[int(0.025 * resamples)], meds[int(0.975 * resamples) - 1]
 
 
-def summarize(ratios):
+def summarize(groups):
+    ratios = [r for g in groups for r in g]
     q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    lo, hi = bootstrap_ci(ratios)
+    lo, hi = bootstrap_ci(groups)
     return {"rounds": len(ratios), "ratio_median": med, "ratio_iqr": [q1, q3],
             "change_faster": sum(1 for r in ratios if r < 1), "ci95": [lo, hi]}
 
@@ -156,33 +170,37 @@ def start_pair(roots, order, name, spec, seed, k, work):
 
 
 def abpair(parent_root, change_root, name, spec, seed, k, rounds, slice_len, work=None):
-    """The record of one paired run of at least 2 ``rounds``; raises
+    """The record of one paired run of at least ``PAIRS`` ``rounds``; raises
     ``AnswersDiffer`` unless both checkouts answer the instance's stream
     alike.  ``work``, if given, is the directory each worker writes its
     instance file under (one subdirectory per side); by default each
     checkout's own."""
+    if rounds < PAIRS:
+        raise ValueError(f"{rounds} rounds for {PAIRS} worker pairs")
     roots = dict(zip(SIDES, (parent_root, change_root)))
     rows, setups = [], []
-    for half, start_order in enumerate((SIDES, SIDES[::-1])):
+    for pair in range(PAIRS):
+        start_order = SIDES if pair % 2 == 0 else SIDES[::-1]
         workers, setup = start_pair(roots, start_order, name, spec, seed, k, work)
         setups.append(setup)
         nq = setup["parent"]["queries"]
         try:
-            for i in range(half * (rounds // 2), rounds if half else rounds // 2):
+            for i in range(pair * rounds // PAIRS, (pair + 1) * rounds // PAIRS):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 start = i * slice_len % nq
                 p50 = {side: workers[side].ask(op="slice", start=start,
                                                count=slice_len)["p50_us"]
                        for side in order}
-                rows.append({"started_first": start_order[0], "first": order[0],
+                rows.append({"pair": pair, "started_first": start_order[0], "first": order[0],
                              "start": start, "parent_p50_us": p50["parent"],
                              "change_p50_us": p50["change"],
                              "ratio": p50["change"] / p50["parent"]})
         finally:
             for w in workers.values():
                 w.close()
+    groups = [[r["ratio"] for r in rows if r["pair"] == pair] for pair in range(PAIRS)]
     return {"workload": name, "spec": spec, "seed": seed, "instance": k,
-            "slice": slice_len, **summarize([r["ratio"] for r in rows]),
+            "slice": slice_len, **summarize(groups),
             "sides": {side: {"answer_digest": setups[0][side]["answer_digest"],
                              "queries": setups[0][side]["queries"],
                              "setup_s": [st[side]["setup_s"] for st in setups],
@@ -220,8 +238,8 @@ def main(argv=None):
     ap.add_argument("--slice", type=int, default=500)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
-    if args.rounds < 2 or args.slice < 1:
-        ap.error("--rounds must be at least 2 and --slice at least 1")
+    if args.rounds < PAIRS or args.slice < 1:
+        ap.error(f"--rounds must be at least {PAIRS} and --slice at least 1")
     sys.path.insert(0, str(args.parent_root.resolve() / "perfbench"))
     import run
 
