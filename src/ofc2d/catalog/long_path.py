@@ -58,17 +58,18 @@ class LongPathDS:
                                    " vertices, so no long-path store was built")
         out = {}
         # A run counts as one structure queried.
-        for s, first, last in runs:
-            s.query(q.q, first, last, out, counters)
+        for s, lo, hi in runs:
+            s.query(q.q, lo, hi, out, counters)
             if counters is not None:
                 counters.structures_queried += 1
         return QueryAnswer(out)
 
     def _runs(self, path):
-        """(store, first vertex, last vertex) of each run of ``path`` on one
-        heavy path, or None unless every vertex lies on a heavy path, each run
-        is a contiguous slice of its heavy path, read either way, and each
-        run's last vertex is a tree neighbour of the next run's first."""
+        """(store, lo, hi) of each run of ``path`` on one heavy path, where
+        the run holds the store's chain positions lo to hi (lo <= hi), or
+        None unless every vertex lies on a heavy path, each run is a
+        contiguous slice of its heavy path, read either way, and each run's
+        last vertex is a tree neighbour of the next run's first."""
         parent = self.tree.parent
         out = []
         prev = None
@@ -78,12 +79,13 @@ class LongPathDS:
                 s = self.structures[pi]
                 first, last = run[0], run[-1]
                 lo, hi = s.pos[first], s.pos[last]
-                if (s.chain[lo:hi + 1] != run if lo <= hi
-                        else s.chain[hi:lo + 1] != run[::-1]):
+                if lo > hi:
+                    lo, hi, run = hi, lo, run[::-1]
+                if s.chain[lo:hi + 1] != run:
                     return None
                 if prev is not None and parent[prev] != first and parent[first] != prev:
                     return None
-                out.append((s, first, last))
+                out.append((s, lo, hi))
                 prev = last
         except KeyError:
             return None

@@ -52,13 +52,11 @@ class PathDS:
             self.blocks.append(s)
             self.stored_entries += s.stored_entries
 
-    def query(self, q, first, last, out, counters=None):
+    def query(self, q, lo, hi, out, counters=None):
         """Write into ``out`` the rect id containing point ``q`` of every
-        chain vertex from ``first`` to ``last``, a checked run of the chain."""
+        chain vertex at positions ``lo`` to ``hi`` (``lo <= hi``), a checked
+        run of the chain."""
         pos = self.pos
-        lo, hi = pos[first], pos[last]
-        if lo > hi:
-            lo, hi = hi, lo
         b_lo, b_hi = lo // self.block_size, hi // self.block_size
         for b in range(b_lo, b_hi + 1):
             hits = self.blocks[b].query(q, counters)

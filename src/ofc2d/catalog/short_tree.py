@@ -33,7 +33,8 @@ class ChunkedStabDS:
     of those vertices, so chunks that differ only in order or in other
     vertices share one stab.  Subclasses build the cuttings and check the
     path; a vertex given no cutting gets no answer, and a chunk with no
-    multi-cell cutting is skipped.
+    multi-cell cutting is skipped.  ``stored_entries`` counts the cuttings'
+    conflict lists, not the stabs that queries build.
     """
 
     __slots__ = ("r", "L", "cuttings", "direct", "cells", "_stabs", "stored_entries")
@@ -78,7 +79,6 @@ class ChunkedStabDS:
                 s = self._stabs.get(key)
                 if s is None:
                     s = self._stabs[key] = Stab2D([it for v in key for it in cells[v]])
-                    self.stored_entries += s.stored_entries
                 hits = s.query(q, counters)
                 if counters is not None:
                     counters.structures_queried += 1

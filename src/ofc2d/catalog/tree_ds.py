@@ -20,7 +20,11 @@ SHORT, MID, LONG = "short", "mid", "long"
 
 
 class TreeDS:
-    __slots__ = ("t1", "t2", "short", "mid", "long")
+    """``stored_entries`` sums the three parts' set-up entries.  The mid part
+    counts a conflict list shared by several ``RootLeafDS`` once per
+    ``RootLeafDS`` that holds it."""
+
+    __slots__ = ("t1", "t2", "short", "mid", "long", "stored_entries")
 
     def __init__(self, tree: CatalogTree, rng: random.Random):
         n = max(2, tree.n)
@@ -30,16 +34,8 @@ class TreeDS:
         # layer's window passes t1 below about 3.77M rects (2^21.85).
         self.mid = BootstrappedDS(tree, 0, rng)
         self.long = LongPathDS(tree, self.t2 + 1)
-
-    @property
-    def stored_entries(self):
-        """Entries stored so far: read on demand, so it includes the short
-        regime's stabs built lazily by queries (not lazy conflict indexes).
-        The mid part counts a conflict list shared by several ``RootLeafDS``
-        once per ``RootLeafDS`` that holds it.  The long part is 0 on a tree
-        with no path longer than ``t2``."""
-        return (self.short.stored_entries + self.mid.stored_entries
-                + self.long.stored_entries)
+        self.stored_entries = (self.short.stored_entries + self.mid.stored_entries
+                               + self.long.stored_entries)
 
     def regime(self, path_len: int) -> str:
         if path_len <= self.t1:

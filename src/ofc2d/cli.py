@@ -72,22 +72,24 @@ def cmd_gen(args):
     return 0
 
 
+# Structure kind -> (catalog class it needs, constructor from (catalog, rng)).
+STRUCTURES = {
+    "short-tree": (CatalogTree, ShortTreeDS),
+    "mid-tree": (CatalogTree, lambda cat, rng: MidTreeDS(cat, *regime_heights(cat.n), rng)),
+    "tree": (CatalogTree, TreeDS),
+    "graph": (CatalogGraph, GraphDS),
+    "long-path": (CatalogTree, lambda cat, rng: LongPathDS(cat)),
+}
+
+
 def _build_structure(cat, kind, rng):
-    if kind == "graph":
-        if not isinstance(cat, CatalogGraph):
-            raise Ofc2dError("graph structure needs a graph instance")
-        return GraphDS(cat, rng)
-    if not isinstance(cat, CatalogTree):
-        raise Ofc2dError(f"{kind} structure needs a tree instance")
-    if kind == "short-tree":
-        return ShortTreeDS(cat, rng)
-    if kind == "mid-tree":
-        return MidTreeDS(cat, *regime_heights(cat.n), rng)
-    if kind == "long-path":
-        return LongPathDS(cat)
-    if kind == "tree":
-        return TreeDS(cat, rng)
-    raise Ofc2dError(f"unknown structure kind {kind}")
+    if kind not in STRUCTURES:
+        raise Ofc2dError(f"unknown structure kind {kind}")
+    needs, build = STRUCTURES[kind]
+    if not isinstance(cat, needs):
+        noun = "graph" if needs is CatalogGraph else "tree"
+        raise Ofc2dError(f"{kind} structure needs a {noun} instance")
+    return build(cat, rng)
 
 
 def cmd_build_stats(args, out=None):
@@ -159,7 +161,7 @@ def cmd_bench(args):
     ds = _build_structure(cat, args.structure, rng)
     if args.queries:
         workload = fileio.load_queries(args.queries)
-        if args.structure != "graph" and any(
+        if STRUCTURES[args.structure][0] is not CatalogGraph and any(
                 isinstance(q, SubgraphQuery) for q in workload):
             raise Ofc2dError(f"{args.structure} structure answers no subgraph query")
     else:
@@ -219,9 +221,7 @@ def make_parser():
     for name, fn in (("build-stats", cmd_build_stats), ("bench", cmd_bench)):
         p = sub.add_parser(name)
         p.add_argument("--instance", required=True)
-        p.add_argument("--structure", required=True,
-                       choices=["short-tree", "mid-tree", "tree", "graph",
-                                "long-path"])
+        p.add_argument("--structure", required=True, choices=list(STRUCTURES))
         p.add_argument("--seed", type=int, required=True)
         if name == "bench":
             p.add_argument("--out", required=True)

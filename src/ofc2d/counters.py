@@ -2,10 +2,11 @@
 
 Each query call owns one ``WorkCounters`` instance; structures only ever
 increment the counters handed to them.  Queries are not read-only, though:
-they fill lazy caches (stabbing structures, conflict indexes) and grow
-``stored_entries``, so one structure must not be queried from several threads
-at once.  The counters are the portable cost model used by the benchmark
-harness (wall time is reported but never asserted on).
+they fill lazy caches (stabbing structures, conflict indexes), so one
+structure must not be queried from several threads at once.  A structure's
+``stored_entries`` counts its set-up entries only and never changes.  The
+counters are the portable cost model used by the benchmark harness (wall
+time is reported but never asserted on).
 """
 
 from dataclasses import dataclass

@@ -99,10 +99,14 @@ class Stab2D:
 
 class Stab3D:
     """Fan-out-H range tree over z elementary intervals with a Stab2D per
-    non-empty node, stored flat like Stab2D: per z slab, the number of
-    range-tree nodes on its root-to-leaf path (``zdepth``) and the deepest
-    non-empty Stab2D on that path (``zdeepest``).  Nodes exist only where an
-    insert split a range, so a path ends at its first unsplit node."""
+    non-empty node, stored flat like Stab2D: per z slab, the depth of its
+    leaf (``zdepth``) and the deepest non-empty Stab2D on its root-to-leaf
+    path (``zdeepest``).  A node's children split its range into chunks of
+    ceil(span/H) elementary intervals, the last one shorter, down to single
+    intervals.  The tree is full, as one split only where inserts pass would
+    be too: each interior key of a node ends some box, whose insert passes
+    through the node.  A leaf in a short last chunk can be shallower than
+    ceil(log_H m) + 1 for m intervals."""
 
     __slots__ = ("zs", "zdepth", "zdeepest", "stored_entries")
 
@@ -113,61 +117,54 @@ class Stab3D:
         zs = sorted({z for _, zlo, zhi, _ in items for z in (zlo, zhi)})
         self.zs = zs
         m = max(1, len(zs) - 1)
-        # Node 0 is the root; each node's children partition its elementary
-        # z-interval range into at most H near-equal contiguous chunks.
-        ranges = [(0, m)]
-        children = [[]]
+        # Node 0 is the root over all m intervals; the j-th chunk child of
+        # node k is node k*H + 1 + j.
         buckets = {}
 
-        def kids(node):
-            if children[node]:
-                return children[node]
-            nl, nr = ranges[node]
-            if nr - nl <= 1:
-                return []
-            span = nr - nl
-            step = -(-span // H)
-            for a in range(nl, nr, step):
-                ranges.append((a, min(a + step, nr)))
-                children[node].append(len(ranges) - 1)
-                children.append([])
-            return children[node]
-
-        def insert(node, l, r, item):
-            nl, nr = ranges[node]
+        def insert(node, nl, nr, l, r, item):
             if l <= nl and nr <= r:
                 buckets.setdefault(node, []).append(item)
                 return
-            for c in kids(node):
-                cl, cr = ranges[c]
-                if l < cr and cl < r:
-                    insert(c, l, r, item)
+            # Only the chunks that meet [l, r) are visited, which keeps this
+            # as fast as a loop over stored child ranges; l < r, and the
+            # node meets [l, r).
+            step = -(-(nr - nl) // H)
+            j = (l - nl) // step if l > nl else 0
+            a = nl + j * step
+            end = r if r < nr else nr
+            while a < end:
+                b = a + step
+                insert(node * H + 1 + j, a, b if b < nr else nr, l, r, item)
+                a = b
+                j += 1
 
         for rect, zlo, zhi, payload in items:
             l = bisect.bisect_left(zs, zlo)
             r = bisect.bisect_left(zs, zhi)
-            insert(0, l, r, (rect, payload))
+            # A box with zlo == zhi holds no z slab.
+            if l < r:
+                insert(0, 0, m, l, r, (rect, payload))
         stabs = {node: Stab2D(b) for node, b in buckets.items()}
         self.stored_entries = sum(s.stored_entries for s in stabs.values())
         zdepth = bytearray(m)
         zdeepest = [None] * m
 
-        def flatten(node, d, up):
+        def flatten(node, nl, nr, d, up):
             s = stabs.get(node)
             if s is not None:
                 s.up = up
                 up = s
-            if not children[node]:
-                nl, nr = ranges[node]
-                zdepth[nl:nr] = bytes([d]) * (nr - nl)
-                zdeepest[nl:nr] = [up] * (nr - nl)
+            if nr - nl <= 1:
+                zdepth[nl] = d
+                zdeepest[nl] = up
                 return
-            for c in children[node]:
-                flatten(c, d + 1, up)
+            step = -(-(nr - nl) // H)
+            for j, a in enumerate(range(nl, nr, step)):
+                flatten(node * H + 1 + j, a, min(a + step, nr), d + 1, up)
 
-        flatten(0, 1, None)
+        flatten(0, 0, m, 1, None)
         # Break the recursive closures' cycles, as in Stab2D.
-        del kids, insert, flatten
+        del insert, flatten
         self.zdepth = bytes(zdepth)
         self.zdeepest = zdeepest
 

@@ -191,6 +191,19 @@ def test_chunks_without_cells_are_skipped():
     assert all(s.stored_entries > 0 for s in ds._stabs.values())
 
 
+def test_queries_leave_stored_entries_unchanged():
+    """``stored_entries`` counts set-up entries only: subgraph queries build
+    chunk stabs and leave it as the constructor set it."""
+    g, ds, rng = mixed_graph(11)
+    before = ds.stored_entries
+    for _ in range(20):
+        vs = connected_set(g, rng, rng.randint(2, 6))
+        q = SubgraphQuery(random_point(g.bbox, rng), vs)
+        assert ds.query(q) == oracle_query(g, q.q, sorted(vs))
+    assert ds._stabs
+    assert ds.stored_entries == before
+
+
 def test_stab_keys_are_sorted_copies_that_own_cells():
     """Each chunk's stab is cached under the sorted tuple of its copies with
     multi-cell cuttings, so chunks differing only in order or in other copies

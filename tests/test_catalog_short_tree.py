@@ -5,9 +5,10 @@ import pytest
 
 from ofc2d.catalog.model import CatalogTree, CatalogVertex, PathQuery
 from ofc2d.catalog.short_tree import ShortTreeDS
+from ofc2d.catalog.tree_ds import TreeDS
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import VertexNotOnPath
-from ofc2d.gen import default_bbox, random_point, random_tiling
+from ofc2d.gen import default_bbox, random_point, random_tiling, random_tree_catalog
 from ofc2d.oracle import oracle_query
 
 
@@ -64,3 +65,20 @@ def test_per_vertex_conflict_budget():
     for vid, cut in ds.cuttings.items():
         ni = len(tree.vertices[vid].tiling)
         assert cut.max_conflict() <= 8 * max(1, ni / cut.target)
+
+
+def test_queries_leave_stored_entries_unchanged():
+    """``stored_entries`` counts set-up entries only: short queries over mixed
+    cuttings build chunk stabs and leave it as the constructor set it."""
+    rng = random.Random(3)
+    cat = random_tree_catalog(6, 6000, 3, rng)
+    short, tree = ShortTreeDS(cat, rng), TreeDS(cat, rng)
+    assert short.direct and short.cells and tree.short.direct and tree.short.cells
+    before = (short.stored_entries, tree.stored_entries)
+    vids = sorted(cat.vertices)
+    for _ in range(30):
+        path = tuple(cat.path_between(rng.choice(vids), rng.choice(vids)))
+        q = PathQuery(random_point(cat.bbox, rng), path)
+        assert short.query(q) == tree.query(q) == oracle_query(cat, q.q, path)
+    assert short._stabs and tree.short._stabs
+    assert (short.stored_entries, tree.stored_entries) == before

@@ -241,6 +241,19 @@ def test_bench_subgraph_query_on_tree_exit_code(tmp_path, capsys, structure):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind,structure,noun", [
+    ("random-graph", "short-tree", "tree"), ("random-tree", "graph", "graph")])
+def test_structure_on_wrong_instance_exit_code(tmp_path, capsys, kind, structure, noun):
+    inst = tmp_path / "i.cat"
+    assert main(["gen", "--kind", kind, "--vertices", "6", "--per-vertex", "8",
+                 "--seed", "3", "--out", str(inst)]) == 0
+    for cmd in (["build-stats"], ["bench", "--out", str(tmp_path / "r.csv")]):
+        assert main(cmd + ["--instance", str(inst), "--structure", structure,
+                           "--seed", "3"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {structure} structure needs a {noun} instance\n"
+
+
 def test_seed_is_mandatory(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--kind", "random-path", "--out", str(tmp_path / "x")])

@@ -182,15 +182,27 @@ coords = st.integers(-1, SPAN)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(items_2d(), coords, coords)
 def test_stab2d_reports_each_payload_once_per_box(items, x, y):
+    """Hits match the linear scan, and the flat slab paths charge the same
+    counters as the root-to-leaf walk."""
     p = Point(x, y)
-    assert sorted(Stab2D(items).query(p)) == sorted(stab_oracle_2d(items, p))
+    c, cw = WorkCounters(), WorkCounters()
+    hits = sorted(Stab2D(items).query(p, c))
+    assert hits == sorted(stab_oracle_2d(items, p))
+    assert hits == sorted(stab2d_walk(items)(p, cw))
+    assert c == cw
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(items_3d(), st.integers(2, 5), coords, coords, coords)
 def test_stab3d_reports_each_payload_once_per_box(items, H, x, y, z):
+    """Hits match the linear scan, and the full range tree charges the same
+    counters as the walk over a tree split only where inserts pass."""
     p = Point(x, y)
-    assert sorted(Stab3D(items, H).query(p, z)) == sorted(stab_oracle_3d(items, p, z))
+    c, cw = WorkCounters(), WorkCounters()
+    hits = sorted(Stab3D(items, H).query(p, z, c))
+    assert hits == sorted(stab_oracle_3d(items, p, z))
+    assert hits == sorted(stab3d_walk(items, H)(p, z, cw))
+    assert c == cw
 
 
 def test_builds_leave_no_cyclic_garbage():
