@@ -226,40 +226,35 @@ def tiling_locate_naive(t: Tiling, p: Point, counters=None) -> int:
 
 
 def validate_tiling(t: Tiling):
-    """Raise ValueError unless ``t`` is an exact disjoint cover of its bbox."""
+    """Raise ValueError unless ``t`` is an exact disjoint cover of its bbox.
+
+    One pass checks that every rect lies in the bbox, the areas sum to the
+    bbox's area, the ids are distinct, and the points that are a corner of
+    an odd number of rects are exactly the bbox's four corners.  Proof:
+    write Q(p) for the quadrant ``x >= p.x, y >= p.y``.  Modulo 2, a
+    half-open rect's indicator is the sum of the Q(p) at its four corners,
+    so by the parity condition the rects' cover count equals the bbox's
+    indicator modulo 2: it is odd, so at least 1, on every unit cell of the
+    bbox, and the area sum then makes it exactly 1.  Conversely, an exact
+    cover leaves exactly the bbox's corners odd, because distinct quadrants
+    are independent modulo 2: the least of a set of points in (x, y) order
+    lies in no other one's quadrant.
+    """
     bbox = t.bbox
     area = 0
-    xs = {bbox.xlo, bbox.xhi}
+    odd = {(bbox.xlo, bbox.ylo), (bbox.xhi, bbox.ylo), (bbox.xlo, bbox.yhi), (bbox.xhi, bbox.yhi)}
     for r in t.rects:
         if r.xlo < bbox.xlo or r.xhi > bbox.xhi or r.ylo < bbox.ylo or r.yhi > bbox.yhi:
             raise ValueError(f"rect {r} leaves bbox {bbox}")
         area += r.area
-        xs.add(r.xlo)
-        xs.add(r.xhi)
+        odd ^= {(r.xlo, r.ylo), (r.xhi, r.ylo), (r.xlo, r.yhi), (r.xhi, r.yhi)}
     if area != bbox.area:
         raise ValueError(f"area sum {area} != bbox area {bbox.area}")
     if len({r.id for r in t.rects}) != len(t.rects):
         raise ValueError("duplicate rect ids")
-    # Disjointness + coverage per x-slab: the rects covering each slab must
-    # partition the bbox's y extent exactly.
-    xs = sorted(xs)
-    buckets = [[] for _ in range(len(xs) - 1)]
-    for r in t.rects:
-        i0 = bisect.bisect_left(xs, r.xlo)
-        i1 = bisect.bisect_left(xs, r.xhi)
-        for i in range(i0, i1):
-            buckets[i].append((r.ylo, r.yhi))
-    for i, b in enumerate(buckets):
-        b.sort()
-        y = bbox.ylo
-        for lo, hi in b:
-            if lo != y:
-                raise ValueError(
-                    f"slab [{xs[i]},{xs[i+1]}): gap or overlap at y={y} (next rect ylo={lo})"
-                )
-            y = hi
-        if y != bbox.yhi:
-            raise ValueError(f"slab [{xs[i]},{xs[i+1]}): uncovered above y={y}")
+    if odd:
+        x, y = min(odd)
+        raise ValueError(f"gap or overlap: ({x}, {y}) is a corner of the wrong parity")
 
 
 def merge_intervals(pieces):

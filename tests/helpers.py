@@ -315,6 +315,36 @@ def bbox_of(side):
     return Rect(-1, 0, side, 0, side)
 
 
+def assert_conflicts_cover_cells(c):
+    """Each cell of cutting ``c`` is covered exactly by its conflict rects:
+    clipped to the cell, their areas add up to the cell's area."""
+    for i, cell in enumerate(c.cells.rects):
+        covered = 0
+        for s in c.conflicts[i]:
+            w = min(s.xhi, cell.xhi) - max(s.xlo, cell.xlo)
+            h = min(s.yhi, cell.yhi) - max(s.ylo, cell.ylo)
+            if w > 0 and h > 0:
+                covered += w * h
+        assert covered == cell.area, f"cell {i} not exactly covered by its conflicts"
+
+
+def covers_exactly(tiling):
+    """Whether ``tiling``'s rects, ids distinct, cover every unit cell of its
+    bbox once and nothing outside it, counted cell by cell."""
+    rects, bbox = tiling.rects, tiling.bbox
+    if len({r.id for r in rects}) != len(rects):
+        return False
+    xs = [x for r in (*rects, bbox) for x in (r.xlo, r.xhi)]
+    ys = [y for r in (*rects, bbox) for y in (r.ylo, r.yhi)]
+    for x in range(min(xs), max(xs)):
+        for y in range(min(ys), max(ys)):
+            inside = bbox.xlo <= x < bbox.xhi and bbox.ylo <= y < bbox.yhi
+            count = sum(r.xlo <= x < r.xhi and r.ylo <= y < r.yhi for r in rects)
+            if count != inside:
+                return False
+    return True
+
+
 def clipped_slab_index(cell, rects):
     """The SlabIndex a cell's conflict rects got when they were clipped first:
     copies of ``rects`` clipped to ``cell``, put in every x slab they cover

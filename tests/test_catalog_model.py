@@ -20,7 +20,7 @@ from ofc2d.gen import (
     random_tiling,
     random_tree_catalog,
 )
-from ofc2d.geometry import Rect, Tiling
+from ofc2d.geometry import Rect, Tiling, validate_tiling
 from ofc2d.oracle import oracle_query
 from ofc2d.gen import random_point
 
@@ -228,3 +228,11 @@ def test_tree_rejects_overlapping_tiling():
     }
     with pytest.raises(ValueError):
         CatalogTree(vertices, 0)
+
+
+def test_validate_tiling_refuses_the_overlapping_vertex_tiling():
+    """The check that would mend the xfail above exists: it refuses vertex
+    0's tiling there, whose rects overlap on [0, 4) x [0, 4)."""
+    bbox = Rect(-1, 0, 8, 0, 8)
+    with pytest.raises(ValueError):
+        validate_tiling(Tiling(bbox, [Rect(0, 0, 8, 0, 8), Rect(1, 0, 4, 0, 4)]))

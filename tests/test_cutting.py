@@ -11,7 +11,12 @@ from ofc2d.errors import InvalidParameter, PointOutsideBBox
 from ofc2d.gen import random_tiling
 from ofc2d.geometry import Point, Rect, Tiling
 
-from helpers import bbox_of, clipped_slab_index, guillotine_tilings
+from helpers import (
+    assert_conflicts_cover_cells,
+    bbox_of,
+    clipped_slab_index,
+    guillotine_tilings,
+)
 
 
 def make_source(n, seed, side=None):
@@ -30,6 +35,7 @@ def test_coarsest_cutting():
     assert c.cells.rects[0].key() == src.bbox.key()
     assert sorted(r.id for r in c.conflicts[0]) == list(range(64))
     verify_cutting(c)
+    assert_conflicts_cover_cells(c)
 
 
 def test_finest_cutting():
@@ -37,6 +43,7 @@ def test_finest_cutting():
     c = cutting_build(src, 128, rng)
     assert c.max_conflict() <= C_CONF
     verify_cutting(c)
+    assert_conflicts_cover_cells(c)
 
 
 def test_seed11_budgets():
@@ -49,6 +56,7 @@ def test_seed11_budgets():
         assert sorted(r.id for r in c.conflicts[i]) == sorted(direct)
         assert len(direct) <= C_CONF * 1024 // 32
     verify_cutting(c)
+    assert_conflicts_cover_cells(c)
 
 
 def test_invalid_r():
@@ -64,6 +72,7 @@ def test_random_cuttings_verify(seed, n, r):
     src, rng = make_source(n, seed)
     c = cutting_build(src, r, rng)
     verify_cutting(c)
+    assert_conflicts_cover_cells(c)
 
 
 def test_failed_verification_is_not_retried(monkeypatch):

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofc2d.counters import WorkCounters
 from ofc2d.errors import OutOfBounds, OverlappingSegments, PointOutsideBBox
@@ -20,7 +21,13 @@ from ofc2d.geometry import (
     validate_tiling,
 )
 
-from helpers import decompose_oracle, random_segments
+from helpers import (
+    bbox_of,
+    covers_exactly,
+    decompose_oracle,
+    guillotine_tilings,
+    random_segments,
+)
 
 BOX = Rect(-1, 0, 16, 0, 16)
 
@@ -151,6 +158,90 @@ def test_validate_tiling_catches_gap_and_overlap():
         validate_tiling(
             Tiling(BOX, [Rect(0, 0, 16, 0, 9), Rect(1, 0, 16, 8, 16)])
         )
+    # Right area, one overlap and one gap: the message names an odd corner.
+    with pytest.raises(ValueError, match=r"\(7, 0\)"):
+        validate_tiling(Tiling(BOX, [Rect(0, 0, 8, 0, 16), Rect(1, 7, 15, 0, 16)]))
+
+
+@st.composite
+def corrupted_tilings(draw):
+    """A guillotine tiling of an 8x8 box with one corruption: one rect's
+    edge moved, a rect added once or twice (a copy of one or a random one),
+    one rect shifted, its sides swapped, its id duplicated, or one of its
+    sides pushed out of the bbox.  Most corruptions can draw a no-op, so
+    exact covers occur.  A change to one rect, or one added rect, changes
+    the set of odd corners; a rect added twice does not, so only the area
+    sum refuses it."""
+    t = draw(guillotine_tilings(bbox_of(8), 8))
+    rects = list(t.rects)
+    i = draw(st.integers(0, len(rects) - 1))
+    r = rects[i]
+    kind = draw(st.sampled_from(["edge", "add", "shift", "swap", "id", "leave"]))
+    side = draw(st.integers(0, 3))
+    key = list(r.key())
+    if kind == "edge":
+        lo, hi = (0, key[side + 1] - 1) if side % 2 == 0 else (key[side - 1] + 1, 8)
+        key[side] = draw(st.integers(lo, hi))
+    elif kind == "add":
+        if draw(st.booleans()):
+            xlo, xhi, ylo, yhi = rects[draw(st.integers(0, len(rects) - 1))].key()
+        else:
+            xlo, xhi = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2,
+                                            unique=True)))
+            ylo, yhi = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2,
+                                            unique=True)))
+        for _ in range(draw(st.integers(1, 2))):
+            rects.append(Rect(len(rects), xlo, xhi, ylo, yhi))
+    elif kind == "shift":
+        dx = draw(st.integers(-key[0], 8 - key[1]))
+        dy = draw(st.integers(-key[2], 8 - key[3]))
+        key = [key[0] + dx, key[1] + dx, key[2] + dy, key[3] + dy]
+    elif kind == "swap":
+        w, h = key[1] - key[0], key[3] - key[2]
+        key = [key[0], key[0] + h, key[2], key[2] + w]
+    elif kind == "leave":
+        k = draw(st.integers(1, 2))
+        key[side] = -k if side % 2 == 0 else 8 + k
+    rid = rects[draw(st.integers(0, len(rects) - 1))].id if kind == "id" else r.id
+    rects[i] = Rect(rid, *key)
+    return Tiling(t.bbox, rects)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(corrupted_tilings())
+def test_validate_tiling_accepts_exactly_the_exact_covers(t):
+    """``validate_tiling`` accepts a tiling exactly when a count of covers
+    per unit cell finds the bbox covered once and nothing outside it."""
+    try:
+        validate_tiling(t)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == covers_exactly(t), t.rects
+
+
+def pinwheel():
+    """Four rects around a centre cell; no straight cut splits it."""
+    return Tiling(Rect(-1, 0, 3, 0, 3), [
+        Rect(0, 0, 2, 0, 1), Rect(1, 2, 3, 0, 2), Rect(2, 1, 3, 2, 3),
+        Rect(3, 0, 1, 1, 3), Rect(4, 1, 2, 1, 2),
+    ])
+
+
+def comb(k):
+    """k unit columns under k full-width rows, and a filler beside both."""
+    return Tiling(Rect(-1, 0, 2 * k, 0, 2 * k), (
+        [Rect(i, i, i + 1, 0, k) for i in range(k)]
+        + [Rect(k + i, 0, k, k + i, k + i + 1) for i in range(k)]
+        + [Rect(2 * k, k, 2 * k, 0, 2 * k)]
+    ))
+
+
+@pytest.mark.parametrize("t", [pinwheel(), comb(4)], ids=["pinwheel", "comb"])
+def test_validate_tiling_accepts_pinwheel_and_comb(t):
+    assert covers_exactly(t)
+    validate_tiling(t)
 
 
 def test_rect_degenerate_rejected():
