@@ -32,10 +32,14 @@ class CatalogVertex:
 
 
 def check_catalog(vertices):
-    """Raise ValueError unless every neighbour exists, adjacency is symmetric
-    and all tilings share one bbox."""
+    """Raise ValueError unless every neighbour exists and is listed once,
+    adjacency is symmetric and all tilings share one bbox."""
     adjacency = {vid: set(v.adjacency) for vid, v in vertices.items()}
     for vid, nbrs in adjacency.items():
+        listed = vertices[vid].adjacency
+        if len(nbrs) < len(listed):
+            u = next(u for u in listed if listed.count(u) > 1)
+            raise ValueError(f"vertex {vid} lists neighbour {u} more than once")
         for u in nbrs:
             if u not in adjacency:
                 raise ValueError(f"vertex {vid} lists unknown neighbour {u}")

@@ -3,7 +3,7 @@
 ``cutting_build(source, r, rng)`` returns ~r cells tiling the source
 bounding box such that each cell meets at most ``C_CONF * n / r`` source
 rects.  The construction samples source rects, trapezoidal-decomposes their
-merged edge set and splits any over-full cell at a median conflict edge.  It
+edge set and splits any over-full cell at a median conflict edge.  It
 retries with fresh randomness while the split leaves more than ``C_CUT * r``
 cells, then verifies the result; a failed verification is a defect and
 raises ``ValueError``.
@@ -23,49 +23,39 @@ from .geometry import (
     Segment,
     SlabIndex,
     Tiling,
-    merge_intervals,
     trapezoidal_decompose,
     validate_tiling,
 )
 
 
-def _merged_edge_segments(rects, bbox):
+def _edge_segments(rects):
     """Boundary edges of disjoint rects as a valid orthogonal subdivision.
 
-    Collinear pieces are merged per line; merging can make two segments cross
-    at a four-corner meeting point, so each merged segment is re-split at
-    every such crossing (the point is a genuine subdivision vertex).
+    On each line the rect-edge pieces are sorted and merged only where they
+    overlap (``a < hi``); pieces that merely touch stay apart.  So no two
+    segments properly cross, and none needs splitting: a point inside a
+    merged horizontal segment lies inside the horizontal edge of some rect
+    A, because a merge never bridges a mere touch, and in the same way
+    inside a vertical edge of some rect B.  A and B would then both fill one
+    quadrant at that point, but the rects are disjoint.
     """
-    vlines, hlines = {}, {}
+    lines = {}
     for r in rects:
-        vlines.setdefault(r.xlo, []).append((r.ylo, r.yhi))
-        vlines.setdefault(r.xhi, []).append((r.ylo, r.yhi))
-        hlines.setdefault(r.ylo, []).append((r.xlo, r.xhi))
-        hlines.setdefault(r.yhi, []).append((r.xlo, r.xhi))
-    hs = []  # (y, xlo, xhi)
-    vs = []  # (x, ylo, yhi)
-    for x, spans in vlines.items():
-        vs.extend((x, lo, hi) for lo, hi in merge_intervals(spans))
-    for y, spans in hlines.items():
-        hs.extend((y, lo, hi) for lo, hi in merge_intervals(spans))
-    hs.sort()
-    hys = [h[0] for h in hs]
-    hsplit = {}
-    vsplit = {}
-    for vi, (x, ylo, yhi) in enumerate(vs):
-        k0 = bisect.bisect_right(hys, ylo)
-        k1 = bisect.bisect_left(hys, yhi)
-        for k in range(k0, k1):
-            y, xlo, xhi = hs[k]
-            if xlo < x < xhi:
-                vsplit.setdefault(vi, []).append(y)
-                hsplit.setdefault(k, []).append(x)
+        lines.setdefault((VERTICAL, r.xlo), []).append((r.ylo, r.yhi))
+        lines.setdefault((VERTICAL, r.xhi), []).append((r.ylo, r.yhi))
+        lines.setdefault((HORIZONTAL, r.ylo), []).append((r.xlo, r.xhi))
+        lines.setdefault((HORIZONTAL, r.yhi), []).append((r.xlo, r.xhi))
     segs = []
-    for axis, items, splits in ((VERTICAL, vs, vsplit), (HORIZONTAL, hs, hsplit)):
-        for i, (fixed, lo, hi) in enumerate(items):
-            cuts = [lo] + sorted(splits.get(i, ())) + [hi]
-            for a, b in zip(cuts, cuts[1:]):
-                segs.append(Segment(axis, fixed, a, b))
+    for (axis, fixed), spans in lines.items():
+        spans.sort()
+        lo, hi = spans[0]
+        for a, b in spans[1:]:
+            if a < hi:
+                hi = max(hi, b)
+            else:
+                segs.append(Segment(axis, fixed, lo, hi))
+                lo, hi = a, b
+        segs.append(Segment(axis, fixed, lo, hi))
     return segs
 
 
@@ -199,7 +189,7 @@ def cutting_build(source: Tiling, r: int, rng: random.Random) -> Cutting:
     budget = C_CONF * n // r
     for _ in range(CUTTING_MAX_RETRIES):
         sampled = [rect for rect in source.rects if rng.random() < p]
-        segs = _merged_edge_segments(sampled, bbox)
+        segs = _edge_segments(sampled)
         coarse = trapezoidal_decompose(bbox, segs)
         conf = _conflicts_for_cells(coarse, source.rects)
         pairs = _split_overfull([(c.key(), cf) for c, cf in zip(coarse.rects, conf)], budget)

@@ -29,9 +29,9 @@ ignored everywhere.  Every malformed line, including a field value that no
 1-based number of that line.  The rect lines of a vertex section, most of a
 catalog file, are read in one loop that passes each line through ``_fields``
 and ``Rect`` and raises the same errors, at the same lines, as every other
-line.  Checks that span lines of a catalog (unknown root or neighbour,
-asymmetric adjacency, mixed bboxes) stay in the ``CatalogTree`` and
-``CatalogGraph`` constructors, which raise ValueError.
+line.  Checks that span lines of a catalog (unknown root or neighbour, a
+repeated neighbour, asymmetric adjacency, mixed bboxes) stay in the
+``CatalogTree`` and ``CatalogGraph`` constructors, which raise ValueError.
 """
 
 from __future__ import annotations

@@ -71,7 +71,7 @@ def _split_sizes(total: int, m: int, rng: random.Random):
     return sizes
 
 
-def _attach_tilings(adjacency, root, sizes, rng, tree=True, degree=3):
+def _attach_tilings(adjacency, sizes, rng):
     bbox = default_bbox(sum(sizes))
     vertices = {}
     next_id = 0
@@ -79,9 +79,7 @@ def _attach_tilings(adjacency, root, sizes, rng, tree=True, degree=3):
         t = random_tiling(bbox, k, rng, start_id=next_id)
         next_id += k
         vertices[vid] = CatalogVertex(vid, t, tuple(sorted(adjacency[vid])))
-    if tree:
-        return CatalogTree(vertices, root)
-    return CatalogGraph(vertices, degree)
+    return vertices
 
 
 def random_tree_catalog(n_vertices: int, total_rects: int, height: int,
@@ -118,7 +116,7 @@ def random_tree_catalog(n_vertices: int, total_rects: int, height: int,
         if depth[v] < height:
             slots.append(v)
     sizes = _split_sizes(total_rects, n_vertices, rng)
-    return _attach_tilings(adjacency, 0, sizes, rng)
+    return CatalogTree(_attach_tilings(adjacency, sizes, rng), 0)
 
 
 def random_graph_catalog(n_vertices: int, total_rects: int, degree: int,
@@ -148,8 +146,7 @@ def random_graph_catalog(n_vertices: int, total_rects: int, degree: int,
             adjacency[u].add(v)
             adjacency[v].add(u)
     sizes = _split_sizes(total_rects, n_vertices, rng)
-    adj_lists = {v: sorted(s) for v, s in adjacency.items()}
-    return _attach_tilings(adj_lists, None, sizes, rng, tree=False, degree=degree)
+    return CatalogGraph(_attach_tilings(adjacency, sizes, rng), degree)
 
 
 def default_bbox(total_rects: int) -> Rect:

@@ -257,7 +257,7 @@ def validate_tiling(t: Tiling):
         raise ValueError(f"gap or overlap: ({x}, {y}) is a corner of the wrong parity")
 
 
-def merge_intervals(pieces):
+def _merge_intervals(pieces):
     pieces = sorted(pieces)
     out = []
     for lo, hi in pieces:
@@ -364,7 +364,7 @@ def trapezoidal_decompose(bbox: Rect, segments) -> Tiling:
             k = bisect.bisect_left(stops, y0)
             if k > 0:
                 pieces.append([stops[k - 1], y0])  # downward ray
-        wall = merge_intervals(pieces)
+        wall = _merge_intervals(pieces)
 
         # Close every open cell the wall overlaps with positive measure.
         closed = []
@@ -387,7 +387,7 @@ def trapezoidal_decompose(bbox: Rect, segments) -> Tiling:
             bisect.insort(act, s.fixed)
 
         # Reopen the closed region, partitioned by the new active set.
-        for lo, hi in merge_intervals([list(c) for c in closed]):
+        for lo, hi in _merge_intervals([list(c) for c in closed]):
             k0 = bisect.bisect_right(act, lo)
             k1 = bisect.bisect_left(act, hi)
             bounds = [lo] + act[k0:k1] + [hi]

@@ -369,6 +369,23 @@ def clipped_slab_index(cell, rects):
     return idx
 
 
+def pinwheel():
+    """Four rects around a centre cell; no straight cut splits it."""
+    return Tiling(Rect(-1, 0, 3, 0, 3), [
+        Rect(0, 0, 2, 0, 1), Rect(1, 2, 3, 0, 2), Rect(2, 1, 3, 2, 3),
+        Rect(3, 0, 1, 1, 3), Rect(4, 1, 2, 1, 2),
+    ])
+
+
+def comb(k):
+    """k unit columns under k full-width rows, and a filler beside both."""
+    return Tiling(Rect(-1, 0, 2 * k, 0, 2 * k), (
+        [Rect(i, i, i + 1, 0, k) for i in range(k)]
+        + [Rect(k + i, 0, k, k + i, k + i + 1) for i in range(k)]
+        + [Rect(2 * k, k, 2 * k, 0, 2 * k)]
+    ))
+
+
 @st.composite
 def guillotine_tilings(draw, bbox, max_cuts, start_id=0):
     """Tiling of ``bbox`` made by up to ``max_cuts`` guillotine cuts, its

@@ -209,6 +209,8 @@ def test_catalogs_check_adjacency_and_bbox(build):
         build(_pair((1,), (0, 5)))
     with pytest.raises(ValueError, match="does not list"):
         build(_pair((1,), ()))
+    with pytest.raises(ValueError, match="vertex 0 lists neighbour 1 more than once"):
+        build(_pair((1, 1), (0,)))
     with pytest.raises(ValueError, match="bboxes"):
         build(_pair((1,), (0,), bbox1=Rect(-1, 0, 16, 0, 8)))
 

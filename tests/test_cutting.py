@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,13 +10,16 @@ from ofc2d.counters import WorkCounters
 from ofc2d.cutting import ConflictIndex, Cutting, cutting_build, verify_cutting
 from ofc2d.errors import InvalidParameter, PointOutsideBBox
 from ofc2d.gen import random_tiling
-from ofc2d.geometry import Point, Rect, Tiling
+from ofc2d.geometry import Point, Rect, Tiling, trapezoidal_decompose
 
 from helpers import (
     assert_conflicts_cover_cells,
     bbox_of,
     clipped_slab_index,
+    comb,
+    decompose_oracle,
     guillotine_tilings,
+    pinwheel,
 )
 
 
@@ -91,6 +95,54 @@ def test_failed_verification_is_not_retried(monkeypatch):
     with pytest.raises(ValueError):
         cutting_build(src, 8, rng)
     assert len(decompositions) == 1
+
+
+def assert_edges_decompose(bbox, rects):
+    """The edge segments of ``rects`` pass ``trapezoidal_decompose``'s
+    validator, no two overlap on one line, every cell lies inside or outside
+    each rect, and the cells are the brute-force decomposition's."""
+    segs = cutting._edge_segments(rects)
+    cells = trapezoidal_decompose(bbox, segs)
+    lines = {}
+    for s in segs:
+        lines.setdefault((s.axis, s.fixed), []).append((s.lo, s.hi))
+    for spans in lines.values():
+        spans.sort()
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])), spans
+    for cell in cells.rects:
+        for r in rects:
+            assert not r.intersects(cell) or (
+                r.xlo <= cell.xlo and cell.xhi <= r.xhi
+                and r.ylo <= cell.ylo and cell.yhi <= r.yhi), (r, cell)
+    assert {c.key() for c in cells.rects} == decompose_oracle(bbox, segs)
+
+
+@st.composite
+def tilings_and_samples(draw):
+    """A guillotine tiling and any subset of its rects, from none to all."""
+    tiling = draw(guillotine_tilings(bbox_of(8), 16))
+    keep = draw(st.lists(st.booleans(), min_size=len(tiling), max_size=len(tiling)))
+    return tiling.bbox, [r for r, k in zip(tiling.rects, keep) if k]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tilings_and_samples())
+def test_edge_segments_decompose_any_sample(case):
+    assert_edges_decompose(*case)
+
+
+def four_corner_grid():
+    """A 2x2 grid: four rects meet at the centre, where their edges cross."""
+    return Tiling(bbox_of(2), [Rect(0, 0, 1, 0, 1), Rect(1, 1, 2, 0, 1),
+                               Rect(2, 0, 1, 1, 2), Rect(3, 1, 2, 1, 2)])
+
+
+@pytest.mark.parametrize("t", [four_corner_grid(), pinwheel(), comb(4)],
+                         ids=["four-corner", "pinwheel", "comb"])
+def test_edge_segments_decompose_every_subset(t):
+    for k in range(len(t) + 1):
+        for rects in itertools.combinations(t.rects, k):
+            assert_edges_decompose(t.bbox, rects)
 
 
 @st.composite

@@ -205,7 +205,8 @@ def test_comments_and_blanks_ignored(tmp_path):
     ("adj 2 0 1\n", "adj 2 0 1 7\n"),  # unknown neighbour
     ("adj 2 0 1\n", "adj 2 0\n"),  # asymmetric: 1 lists 2, 2 omits 1
     ("bbox 0 8 0 8\nrect 4", "bbox 0 8 0 9\nrect 4"),  # second bbox
-], ids=["unknown", "asymmetric", "bbox"])
+    ("adj 2 0 1\n", "adj 2 0 1 1\n"),  # repeated neighbour
+], ids=["unknown", "asymmetric", "bbox", "repeat"])
 def test_load_rejects_inconsistent_catalog(tmp_path, edit):
     text = ("graph 3 3\nadj 0 2\nadj 1 2\nadj 2 0 1\n"
             "vertex 0 1\nbbox 0 8 0 8\nrect 0 0 8 0 8\n"

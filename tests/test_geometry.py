@@ -23,9 +23,11 @@ from ofc2d.geometry import (
 
 from helpers import (
     bbox_of,
+    comb,
     covers_exactly,
     decompose_oracle,
     guillotine_tilings,
+    pinwheel,
     random_segments,
 )
 
@@ -219,23 +221,6 @@ def test_validate_tiling_accepts_exactly_the_exact_covers(t):
     else:
         accepted = True
     assert accepted == covers_exactly(t), t.rects
-
-
-def pinwheel():
-    """Four rects around a centre cell; no straight cut splits it."""
-    return Tiling(Rect(-1, 0, 3, 0, 3), [
-        Rect(0, 0, 2, 0, 1), Rect(1, 2, 3, 0, 2), Rect(2, 1, 3, 2, 3),
-        Rect(3, 0, 1, 1, 3), Rect(4, 1, 2, 1, 2),
-    ])
-
-
-def comb(k):
-    """k unit columns under k full-width rows, and a filler beside both."""
-    return Tiling(Rect(-1, 0, 2 * k, 0, 2 * k), (
-        [Rect(i, i, i + 1, 0, k) for i in range(k)]
-        + [Rect(k + i, 0, k, k + i, k + i + 1) for i in range(k)]
-        + [Rect(2 * k, k, 2 * k, 0, 2 * k)]
-    ))
 
 
 @pytest.mark.parametrize("t", [pinwheel(), comb(4)], ids=["pinwheel", "comb"])
